@@ -22,6 +22,22 @@ with the per-step Python cost stripped down:
   kernel's ``leader`` output-feature table, so ``output()`` is never
   called in the loop.
 
+Both engines drive stabilization through the shared
+:func:`~repro.engine.multiset.run_to_leader_target`, so they poll the
+phase series at the same steps and store byte-identical ``phases``.
+
+With ``weights`` (a symbol -> weight map) the same loop realizes a
+state-weighted schedule by proposal thinning, exactly as
+:class:`~repro.schedulers.weighted.WeightedMultisetSimulator` does on
+the Fenwick tree: the same draws in the same order (ticket refills,
+then one uniform per proposal whose acceptance is below 1), so steps,
+leader counts, distinct states and phase series are byte-identical to
+that engine's.  The uniforms come in one vectorized call per refill;
+the next refill rewinds the generator past the unused ones, so the
+stream matches one scalar ``random()`` per thinned proposal.  A
+rejected proposal never reaches the pair tables or the interner.
+Without weights the loop makes no extra draws.
+
 The sorted-slot representation is the one
 :class:`~repro.engine.ensemble.lane.SlotLane` introduced (and whose
 equivalence to the Fenwick chain the ensemble suite pins); this class
@@ -34,8 +50,7 @@ experiments.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import nullcontext
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -45,21 +60,14 @@ from repro.engine.convergence import (
 )
 from repro.engine.interner import StateInterner
 from repro.engine.kernel import make_transition_cache
-from repro.engine.multiset import DRAW_BATCH_SIZE
+from repro.engine.multiset import DRAW_BATCH_SIZE, run_to_leader_target
 from repro.engine.protocol import LEADER, Protocol, State
 from repro.errors import ConvergenceError, SimulationError
 from repro.telemetry.core import cache_summary, telemetry_enabled
-from repro.telemetry.heartbeat import make_heartbeat
 from repro.telemetry.probe import make_phase_series
-from repro.telemetry.profile import StageProfile, emit_profile
-from repro.telemetry.trace import make_tracer
+from repro.telemetry.profile import StageProfile
 
 __all__ = ["KernelMultisetSimulator"]
-
-#: Interactions advanced per ``_advance`` call when a heartbeat is live;
-#: cursor state is preserved across calls, so chunking never changes the
-#: trajectory — it only bounds how stale a progress event can be.
-_HEARTBEAT_CHUNK = 1 << 16
 
 #: Sentinel distinguishing "pair never requested" from a memoized null.
 _UNSEEN = object()
@@ -76,6 +84,7 @@ class KernelMultisetSimulator:
         cache_entries: int = 1 << 20,
         batch_size: int = DRAW_BATCH_SIZE,
         telemetry: bool | None = None,
+        weights: Mapping[str, float] | None = None,
     ) -> None:
         if n < 2:
             raise SimulationError(f"population needs at least 2 agents, got n={n}")
@@ -104,6 +113,8 @@ class KernelMultisetSimulator:
         self._d1: list[int] = []
         self._d2: list[int] = []
         self._cursor = 0
+        self._uniforms: list[float] = []
+        self._ucursor = 0
         initial_id = self.interner.intern(protocol.initial_state())
         # Sorted-slot configuration: slots[i] is the state id of the
         # i-th agent in id-sorted order; prefix[s] is the inclusive
@@ -111,7 +122,19 @@ class KernelMultisetSimulator:
         self.slots: list[int] = [initial_id] * n
         self.prefix: list[int] = [n]
         self._mark: list[int] = []
-        self._sync_marks()
+        # Thinning weight per id (None: the uniform schedule).  Grown in
+        # place, so the hot loop's local reference stays valid.
+        self._weight_of_id: list[float] | None = None
+        self._inv_wmax2 = 1.0
+        if weights is not None:
+            # Imported here: repro.schedulers.weighted imports the engines.
+            from repro.schedulers.weighted import thinning_constants
+
+            self._weight_of_symbol, self._inv_wmax2 = thinning_constants(
+                weights
+            )
+            self._weight_of_id = []
+        self._sync_tables()
         self._lead = n * self._mark[initial_id]
         # Flat pair tables: _rows[p0][p1] is _UNSEEN, None (memoized
         # null) or (post0, post1, leader_delta).  Width grows with the
@@ -123,10 +146,20 @@ class KernelMultisetSimulator:
     # side tables
     # ------------------------------------------------------------------
 
-    def _sync_marks(self) -> None:
-        """Leader marks per id, from the kernel's feature table."""
+    def _sync_tables(self) -> None:
+        """Leader marks per id, from the kernel's feature table, and the
+        thinning weight per id, from its output symbol."""
         marks = self._mark
         known = len(self.interner)
+        weights = self._weight_of_id
+        if weights is not None and len(weights) < known:
+            weight_of = self._weight_of_symbol
+            output = self.protocol.output
+            state_of = self.interner.state_of
+            weights.extend(
+                weight_of.get(output(state_of(sid)), 1.0)
+                for sid in range(len(weights), known)
+            )
         if len(marks) >= known:
             return
         kernel = self.cache.kernel
@@ -165,7 +198,7 @@ class KernelMultisetSimulator:
         """First-sight pair: kernel-resolve, memoize, return the entry."""
         self.pair_interns += 1
         post0, post1 = self.cache.apply(pre0, pre1)
-        self._sync_marks()
+        self._sync_tables()
         self._grow_rows()
         if post0 == pre0 and post1 == pre1:
             entry = None
@@ -249,7 +282,7 @@ class KernelMultisetSimulator:
                 continue
             sid = self.interner.intern(state)
             by_id[sid] = by_id.get(sid, 0) + count
-        self._sync_marks()
+        self._sync_tables()
         self._grow_rows()
         slots: list[int] = []
         prefix: list[int] = []
@@ -271,7 +304,7 @@ class KernelMultisetSimulator:
 
     def telemetry_summary(self) -> dict:
         """Deterministic counter summary for the trial store."""
-        return {
+        summary = {
             "engine": "multiset",
             "path": "kernel",
             "steps": self.steps,
@@ -279,6 +312,9 @@ class KernelMultisetSimulator:
             "pair_interns": self.pair_interns,
             "cache": cache_summary(self.cache.stats),
         }
+        if self._weight_of_id is not None:
+            summary["scheduler"] = "weighted"
+        return summary
 
     def phases_json(self) -> str | None:
         """Serialized phase series for the trial store, or ``None``."""
@@ -298,10 +334,35 @@ class KernelMultisetSimulator:
     # ------------------------------------------------------------------
 
     def _refill_draws(self) -> None:
+        rng = self._rng
+        if self._uniforms:
+            self._rewind_uniforms()
         size = self._batch_size
-        self._d1 = self._rng.integers(0, self.n, size=size).tolist()
-        self._d2 = self._rng.integers(0, self.n - 1, size=size).tolist()
+        self._d1 = rng.integers(0, self.n, size=size).tolist()
+        self._d2 = rng.integers(0, self.n - 1, size=size).tolist()
         self._cursor = 0
+        if self._weight_of_id is not None:
+            # The thinning uniforms of the next ``size`` proposals, drawn
+            # ahead in one call: a proposal takes at most one, and the
+            # next refill hands the unused ones back to the generator.
+            self._uniforms_from = rng.bit_generator.state
+            self._uniforms = rng.random(size).tolist()
+            self._ucursor = 0
+
+    def _rewind_uniforms(self) -> None:
+        """Leave the generator where ``_ucursor`` scalar ``random()``
+        calls after the last refill would have: the Fenwick path's
+        stream, which draws one uniform per thinned proposal."""
+        bits = self._rng.bit_generator
+        before = self._uniforms_from
+        bits.state = before
+        bits.advance(self._ucursor)  # one 64-bit output per uniform
+        # advance() drops the buffered 32-bit half that the ticket draws
+        # may have left; uniforms never consume it, so restore it.
+        state = bits.state
+        state["has_uint32"] = before["has_uint32"]
+        state["uinteger"] = before["uinteger"]
+        bits.state = state
 
     def step(self) -> tuple[int, int, int, int]:
         """Execute one interaction; returns (pre0, pre1, post0, post1) ids."""
@@ -311,20 +372,29 @@ class KernelMultisetSimulator:
 
     def _advance(self, max_steps: int, leader_target: int | None) -> int:
         """The hot loop: up to ``max_steps`` interactions, early exit at
-        the first interaction whose leader count hits ``leader_target``."""
-        n = self.n
+        the first interaction whose leader count hits ``leader_target``.
+
+        Under a weighted schedule each proposal is thinned before it
+        counts: accepted when ``w0 * w1 * inv_wmax2 >= 1``, else with
+        one uniform draw.  A rejected proposal consumes its tickets and
+        that draw but touches neither the configuration nor the pair
+        tables, and is not an interaction."""
         slots = self.slots
         prefix = self.prefix
         rows = self._rows
+        weight = self._weight_of_id
+        inv_wmax2 = self._inv_wmax2
         lead = self._lead
         executed = 0
         nulls = 0
         d1, d2, cursor = self._d1, self._d2, self._cursor
+        uniforms, ucursor = self._uniforms, self._ucursor
         while executed < max_steps:
             if cursor >= len(d1):
+                self._ucursor = ucursor
                 self._refill_draws()
-                d1, d2 = self._d1, self._d2
-                cursor = 0
+                d1, d2, uniforms = self._d1, self._d2, self._uniforms
+                cursor = ucursor = 0
             t1 = d1[cursor]
             t2 = d2[cursor]
             cursor += 1
@@ -333,6 +403,12 @@ class KernelMultisetSimulator:
             # slot (virtually the last slot of its block).
             j2 = t2 + (t2 >= prefix[p0] - 1)
             p1 = slots[j2]
+            if weight is not None:
+                accept = weight[p0] * weight[p1] * inv_wmax2
+                if accept < 1.0:
+                    ucursor += 1
+                    if uniforms[ucursor - 1] >= accept:
+                        continue
             executed += 1
             hit = rows[p0][p1]
             if hit is _UNSEEN:
@@ -373,6 +449,7 @@ class KernelMultisetSimulator:
         self.steps += executed
         self.null_steps += nulls
         self._cursor = cursor
+        self._ucursor = ucursor
         self._lead = lead
         return executed
 
@@ -410,73 +487,7 @@ class KernelMultisetSimulator:
         if detector.check(self):
             return self.steps
         if isinstance(detector, MonotoneLeaderStabilization) and check_every == 1:
-            heartbeat = make_heartbeat(
-                "multiset",
-                self.protocol.name,
-                self.n,
-                self.seed,
-                max_steps,
-                enabled=self._telemetry,
-            )
-            series = self.phase_series
-            profile = self._profile
-            tracer = make_tracer()
-            if tracer is not None:
-                profile.tracer = tracer
-            trial_span = (
-                nullcontext()
-                if tracer is None
-                else tracer.span(
-                    "trial",
-                    cat="trial",
-                    engine="multiset",
-                    protocol=self.protocol.name,
-                    n=self.n,
-                    seed=self.seed,
-                )
-            )
-            try:
-                with trial_span:
-                    if heartbeat is None and series is None:
-                        self._advance(max_steps, detector.target)
-                    else:
-                        # Chunked loop: chunking never changes the
-                        # trajectory (cursor state persists), and the
-                        # chunk size depends only on the spec — with a
-                        # series present it follows the probe stride so
-                        # poll sites land on schedule, never on the
-                        # telemetry switch.
-                        chunk = (
-                            _HEARTBEAT_CHUNK
-                            if series is None
-                            else min(
-                                _HEARTBEAT_CHUNK, max(256, series.stride)
-                            )
-                        )
-                        target = detector.target
-                        executed = 0
-                        if series is not None:
-                            series.poll(self.steps, self.state_counts)
-                        while executed < max_steps and self._lead != target:
-                            executed += self._advance(
-                                min(chunk, max_steps - executed), target
-                            )
-                            if heartbeat is not None:
-                                heartbeat.maybe_beat(self.steps)
-                            if series is not None:
-                                series.poll(self.steps, self.state_counts)
-                        if series is not None:
-                            series.finish(self.steps, self.state_counts)
-            finally:
-                profile.tracer = None
-            emit_profile(
-                profile,
-                "multiset",
-                self.protocol.name,
-                self.n,
-                self.seed,
-                self.steps,
-            )
+            run_to_leader_target(self, detector.target, max_steps)
         else:
             self.run(max_steps, until=detector.check, check_every=check_every)
         if not detector.check(self):

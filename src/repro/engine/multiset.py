@@ -40,7 +40,7 @@ from repro.telemetry.probe import make_phase_series, poll_mask as _poll_mask
 from repro.telemetry.profile import StageProfile, emit_profile
 from repro.telemetry.trace import make_tracer
 
-__all__ = ["DRAW_BATCH_SIZE", "MultisetSimulator"]
+__all__ = ["DRAW_BATCH_SIZE", "MultisetSimulator", "run_to_leader_target"]
 
 #: Scheduler draws consumed from the generator per refill: first a block
 #: of initiator tickets in ``[0, n)``, then responder tickets in
@@ -235,6 +235,19 @@ class MultisetSimulator:
                 break
         return executed
 
+    def _advance(self, max_steps: int, leader_target: int) -> int:
+        """Up to ``max_steps`` interactions, stopping at the first one
+        whose leader count hits ``leader_target``."""
+        output_counts = self.output_counts
+        step = self.step
+        executed = 0
+        while executed < max_steps:
+            step()
+            executed += 1
+            if output_counts.get(LEADER, 0) == leader_target:
+                break
+        return executed
+
     def run_until_stabilized(
         self,
         detector: StabilizationDetector | None = None,
@@ -249,76 +262,7 @@ class MultisetSimulator:
         if detector.check(self):
             return self.steps
         if isinstance(detector, MonotoneLeaderStabilization) and check_every == 1:
-            executed = 0
-            output_counts = self.output_counts
-            step = self.step
-            target = detector.target
-            heartbeat = make_heartbeat(
-                "multiset",
-                self.protocol.name,
-                self.n,
-                self.seed,
-                max_steps,
-                enabled=self._telemetry,
-            )
-            series = self.phase_series
-            profile = self._profile
-            tracer = make_tracer()
-            if tracer is not None:
-                profile.tracer = tracer
-            trial_span = (
-                nullcontext()
-                if tracer is None
-                else tracer.span(
-                    "trial",
-                    cat="trial",
-                    engine="multiset",
-                    protocol=self.protocol.name,
-                    n=self.n,
-                    seed=self.seed,
-                )
-            )
-            try:
-                with trial_span:
-                    if heartbeat is None and series is None:
-                        while executed < max_steps:
-                            step()
-                            executed += 1
-                            if output_counts.get(LEADER, 0) == target:
-                                break
-                    else:
-                        # Separate loop so the poll-free path pays
-                        # nothing.  The poll mask follows the probe
-                        # stride (bounded to [2^8, 2^14]) and depends
-                        # only on the spec — poll sites never depend on
-                        # the telemetry switch.
-                        mask = _poll_mask(series)
-                        if series is not None:
-                            series.poll(self.steps, self.state_counts)
-                        while executed < max_steps:
-                            step()
-                            executed += 1
-                            if output_counts.get(LEADER, 0) == target:
-                                break
-                            if not executed & mask:
-                                if heartbeat is not None:
-                                    heartbeat.maybe_beat(self.steps)
-                                if series is not None:
-                                    series.poll(
-                                        self.steps, self.state_counts
-                                    )
-                        if series is not None:
-                            series.finish(self.steps, self.state_counts)
-            finally:
-                profile.tracer = None
-            emit_profile(
-                profile,
-                "multiset",
-                self.protocol.name,
-                self.n,
-                self.seed,
-                self.steps,
-            )
+            run_to_leader_target(self, detector.target, max_steps)
         else:
             self.run(max_steps, until=detector.check, check_every=check_every)
         if not detector.check(self):
@@ -355,3 +299,72 @@ class MultisetSimulator:
             f"(parallel time {self.parallel_time:.2f}) "
             f"outputs={dict(self.output_counts)}"
         )
+
+
+def run_to_leader_target(sim, target: int, max_steps: int) -> None:
+    """Advance a multiset-chain engine until its leader count hits
+    ``target`` or ``max_steps`` interactions elapse.
+
+    Shared by :class:`MultisetSimulator` and
+    :class:`~repro.engine.kernel.multiset.KernelMultisetSimulator`, so
+    both record the same phase series.  ``sim._advance(k, target)`` runs
+    at most ``k`` interactions and stops early at the target.  Poll
+    sites (heartbeat and phase series) fall where this call's executed
+    count reaches a multiple of ``poll_mask + 1``, never at a segment cut
+    short by the budget or the target.  The mask follows the probe
+    stride, bounded to ``[2^8, 2^14]``, and depends only on the spec, so
+    poll sites never depend on the telemetry switch.
+    """
+    heartbeat = make_heartbeat(
+        "multiset",
+        sim.protocol.name,
+        sim.n,
+        sim.seed,
+        max_steps,
+        enabled=sim._telemetry,
+    )
+    series = sim.phase_series
+    profile = sim._profile
+    advance = sim._advance
+    tracer = make_tracer()
+    if tracer is not None:
+        profile.tracer = tracer
+    trial_span = (
+        nullcontext()
+        if tracer is None
+        else tracer.span(
+            "trial",
+            cat="trial",
+            engine="multiset",
+            protocol=sim.protocol.name,
+            n=sim.n,
+            seed=sim.seed,
+        )
+    )
+    try:
+        with trial_span:
+            if heartbeat is None and series is None:
+                advance(max_steps, target)
+            else:
+                mask = _poll_mask(series)
+                executed = 0
+                if series is not None:
+                    series.poll(sim.steps, sim.state_counts)
+                while executed < max_steps:
+                    executed += advance(
+                        min(mask + 1, max_steps - executed), target
+                    )
+                    if sim.leader_count == target:
+                        break
+                    if not executed & mask:
+                        if heartbeat is not None:
+                            heartbeat.maybe_beat(sim.steps)
+                        if series is not None:
+                            series.poll(sim.steps, sim.state_counts)
+                if series is not None:
+                    series.finish(sim.steps, sim.state_counts)
+    finally:
+        profile.tracer = None
+    emit_profile(
+        profile, "multiset", sim.protocol.name, sim.n, sim.seed, sim.steps
+    )

@@ -131,8 +131,9 @@ def build_simulator(
     (:class:`~repro.schedulers.spec.SchedulerSpec`).  ``None`` and an
     explicit ``uniform`` spec take the exact pre-scheduler path — same
     construction, same draws, bit-identical trajectories.  A
-    ``weighted`` spec routes count-level engines to the reweighted
-    block samplers (:mod:`repro.schedulers.weighted`) and the agent
+    ``weighted`` spec routes count-level engines to their thinning
+    realizations (:mod:`repro.schedulers.weighted`; ``multiset`` thins
+    in the sorted-slot engine when it would run uniform) and the agent
     engine to a thinning :class:`StateWeightedScheduler`; graph
     families attach a :class:`~repro.schedulers.graphs.GraphScheduler`
     to the agent engine (the only engine with agent identity — the
@@ -147,14 +148,8 @@ def build_simulator(
         )
     if engine == ENSEMBLE_ENGINE:
         return EnsembleLaneSimulator(protocol, n, seed=seed, use_kernel=use_kernel)
-    if engine == "multiset":
-        kernelize = use_kernel
-        if kernelize is None:
-            kernelize = (
-                kernels_enabled() and compiled_kernel_for(protocol) is not None
-            )
-        if kernelize:
-            return KernelMultisetSimulator(protocol, n, seed=seed)
+    if engine == "multiset" and _kernelize(protocol, use_kernel):
+        return KernelMultisetSimulator(protocol, n, seed=seed)
     try:
         factory = _ENGINE_FACTORIES[engine]
     except KeyError:
@@ -163,6 +158,13 @@ def build_simulator(
             f"{', '.join(ENGINES)}, {ENSEMBLE_ENGINE}, {AUTO_ENGINE}"
         ) from None
     return factory(protocol, n, seed=seed, use_kernel=use_kernel)
+
+
+def _kernelize(protocol: Protocol, use_kernel: bool | None) -> bool:
+    """Whether ``multiset`` runs on the sorted-slot kernel engine."""
+    if use_kernel is None:
+        return kernels_enabled() and compiled_kernel_for(protocol) is not None
+    return use_kernel
 
 
 def _build_scheduled_simulator(
@@ -185,10 +187,13 @@ def _build_scheduled_simulator(
     if scheduler.family == "weighted":
         weights = scheduler.weight_map
         if engine == "multiset":
-            # The kernel-backed sorted-slot engine has no thinning hook;
-            # the weighted multiset engine resolves transitions through
-            # the same cache (kernel-backed when available), so only the
-            # sampling loop differs.
+            # The same split as the uniform schedule: kernel protocols
+            # thin inside the sorted-slot engine, kernel-less ones on
+            # the Fenwick engine.  Both realize the same chain.
+            if _kernelize(protocol, use_kernel):
+                return KernelMultisetSimulator(
+                    protocol, n, seed=seed, weights=weights
+                )
             return WeightedMultisetSimulator(
                 protocol, n, weights, seed=seed, use_kernel=use_kernel
             )

@@ -46,19 +46,29 @@ from repro.errors import ScheduleError
 
 __all__ = [
     "StateWeightedScheduler",
+    "thinning_constants",
     "WeightedMultisetSimulator",
     "WeightedBatchSimulator",
     "WeightedSuperBatchSimulator",
 ]
 
 
-def _normalize_weights(weights: Mapping[str, float]) -> dict[str, float]:
+def thinning_constants(
+    weights: Mapping[str, float],
+) -> tuple[dict[str, float], float]:
+    """The validated symbol -> weight map and the acceptance scale.
+
+    Every thinning path accepts a proposal with probability
+    ``w(u) * w(v) * inv_wmax2``.  ``wmax`` is floored at 1.0 because
+    unlisted symbols weigh 1.0, so no acceptance ever exceeds 1.
+    """
     if not weights:
         raise ScheduleError("weighted schedule needs a non-empty weight map")
-    normalized = {str(k): float(v) for k, v in weights.items()}
-    if any(v <= 0.0 or not np.isfinite(v) for v in normalized.values()):
+    by_symbol = {str(k): float(v) for k, v in weights.items()}
+    if any(v <= 0.0 or not np.isfinite(v) for v in by_symbol.values()):
         raise ScheduleError(f"weights must be positive and finite: {weights}")
-    return normalized
+    wmax = max(1.0, max(by_symbol.values()))
+    return by_symbol, 1.0 / (wmax * wmax)
 
 
 class StateWeightedScheduler:
@@ -79,9 +89,7 @@ class StateWeightedScheduler:
     ) -> None:
         self._sim = sim
         self._inner = RandomScheduler(sim.n, seed)
-        self._weight_of_symbol = _normalize_weights(weights)
-        wmax = max(1.0, max(self._weight_of_symbol.values()))
-        self._inv_wmax2 = 1.0 / (wmax * wmax)
+        self._weight_of_symbol, self._inv_wmax2 = thinning_constants(weights)
         self._weight_of_id: list[float] = []
 
     @property
@@ -120,7 +128,13 @@ class StateWeightedScheduler:
 
 
 class WeightedMultisetSimulator(MultisetSimulator):
-    """Fenwick-sampled engine with per-step proposal thinning."""
+    """Fenwick-sampled engine with per-step proposal thinning.
+
+    ``build_simulator`` runs it for kernel-less protocols only; kernel
+    protocols thin inside
+    :class:`~repro.engine.kernel.multiset.KernelMultisetSimulator`, the
+    same chain with the same draws.
+    """
 
     def __init__(
         self,
@@ -130,9 +144,7 @@ class WeightedMultisetSimulator(MultisetSimulator):
         seed: int | None = None,
         **kwargs,
     ) -> None:
-        self._weight_of_symbol = _normalize_weights(weights)
-        wmax = max(1.0, max(self._weight_of_symbol.values()))
-        self._inv_wmax2 = 1.0 / (wmax * wmax)
+        self._weight_of_symbol, self._inv_wmax2 = thinning_constants(weights)
         self._weight_of_id: list[float] = []
         super().__init__(protocol, n, seed=seed, **kwargs)
 
@@ -208,9 +220,7 @@ class _WeightedCountsMixin:
     def _init_weights(self, weights: Mapping[str, float]) -> None:
         """Call *before* ``super().__init__`` — ``_ensure_tables`` runs
         during base construction and needs the symbol map in place."""
-        self._weight_of_symbol = _normalize_weights(weights)
-        wmax = max(1.0, max(self._weight_of_symbol.values()))
-        self._inv_wmax2 = 1.0 / (wmax * wmax)
+        self._weight_of_symbol, self._inv_wmax2 = thinning_constants(weights)
         self._weight_of_id = np.ones(16, dtype=np.float64)
         self._weights_known = 0
 

@@ -8,6 +8,8 @@ trajectories on either path, and the kernel cache interns exactly the
 states the interner+cache path would.  These tests pin all of that.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,9 @@ from repro.engine.kernel.multiset import KernelMultisetSimulator
 from repro.engine.multiset import MultisetSimulator
 from repro.engine.protocol import LEADER
 from repro.engine.simulator import AgentSimulator
+from repro.errors import ConvergenceError
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.orchestration.registry import build_protocol, protocol_names
 from repro.protocols.angluin import AngluinProtocol
 
@@ -231,6 +236,41 @@ class TestTrajectoryEquivalence:
         assert cached.distinct_states_seen() == kerneled.distinct_states_seen()
         assert cached.leader_count == kerneled.leader_count == 1
         assert cached.output_counts == kerneled.output_counts
+        assert cached.phases_json() == kerneled.phases_json()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_faulted_phase_series_agree(self, seed):
+        # A fault splits the run into budget-capped segments; both
+        # engines must skip the poll at the cut and record the same
+        # post-fault sample.
+        plan = FaultPlan.create([{"kind": "corrupt", "at_step": 64, "count": 8}])
+        series = []
+        for sim in (
+            MultisetSimulator(
+                build_protocol("pll", 32), 32, seed=seed, use_kernel=False
+            ),
+            KernelMultisetSimulator(build_protocol("pll", 32), 32, seed=seed),
+        ):
+            injector = FaultInjector(plan, 32, seed)
+            injector.drive(sim)
+            series.append((sim.steps, sim.phases_json(), injector.to_json()))
+        assert series[0] == series[1]
+
+    def test_large_population_poll_schedule_agrees(self):
+        # Above 2^17 the probe stride exceeds the 2^14 poll mask, so
+        # samples land on multiples of the mask, not of the stride.
+        n = 200_000
+        series = []
+        for sim in (
+            MultisetSimulator(build_protocol("pll", n), n, seed=0, use_kernel=False),
+            KernelMultisetSimulator(build_protocol("pll", n), n, seed=0),
+        ):
+            with pytest.raises(ConvergenceError):
+                sim.run_until_stabilized(max_steps=100_000)
+            series.append(sim.phases_json())
+        assert series[0] == series[1]
+        steps = [row[0] for row in json.loads(series[0])["samples"]]
+        assert steps == [0, 32_768, 65_536, 98_304, 100_000]
 
     def test_multiset_checkpoints_agree_mid_run(self):
         cached = MultisetSimulator(

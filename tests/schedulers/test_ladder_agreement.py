@@ -4,7 +4,12 @@ The ladder's soundness claim is distributional: a state-weighted spec
 must induce the *same* stabilization-time law on every count-level
 engine (superbatch and batch thin whole blocks, multiset thins per
 step), and a graph spec's degraded per-agent run must match a direct
-scheduler-driven run of the same graph.  Both claims are graded with
+scheduler-driven run of the same graph.  The multiset samples come
+through :func:`~repro.orchestration.pool.build_simulator`, so they grade
+the engine weighted specs really run on: the sorted-slot kernel engine
+for PLL and Angluin.  ``tests/schedulers/test_kernel_thinning.py`` pins
+the Fenwick engine's weighted chain to it bit for bit, so the same
+samples grade both.  Both claims are graded with
 two-sample Kolmogorov-Smirnov tests at fixed seeds (strict
 alpha = 0.001: deterministic, failing only if a code change actually
 shifts a distribution) — the ``tests/engine/test_superbatch_agree.py``
@@ -19,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.stats import ks_critical_value, ks_statistic
+from repro.engine.kernel.multiset import KernelMultisetSimulator
 from repro.engine.scheduler import RestrictedScheduler
 from repro.engine.simulator import AgentSimulator
 from repro.orchestration.pool import build_simulator
@@ -26,7 +32,6 @@ from repro.orchestration.registry import build_protocol
 from repro.schedulers.spec import SchedulerSpec
 from repro.schedulers.weighted import (
     WeightedBatchSimulator,
-    WeightedMultisetSimulator,
     WeightedSuperBatchSimulator,
 )
 
@@ -42,6 +47,24 @@ def weighted_times(engine_cls, protocol_name, n, trials, seed0):
         sim = engine_cls(
             build_protocol(protocol_name, n), n, WEIGHTS, seed=seed0 + trial
         )
+        sim.run_until_stabilized()
+        times.append(sim.parallel_time)
+    return np.asarray(times)
+
+
+def built_multiset_times(protocol_name, n, trials, seed0):
+    """Weighted multiset times through the production build path."""
+    spec = SchedulerSpec.create("weighted", weights=WEIGHTS)
+    times = []
+    for trial in range(trials):
+        sim = build_simulator(
+            build_protocol(protocol_name, n),
+            n,
+            seed=seed0 + trial,
+            engine="multiset",
+            scheduler=spec,
+        )
+        assert isinstance(sim, KernelMultisetSimulator)
         sim.run_until_stabilized()
         times.append(sim.parallel_time)
     return np.asarray(times)
@@ -63,8 +86,8 @@ class TestWeightedLadderAgreesOnPLL:
     @pytest.fixture(scope="class")
     def samples(self):
         return {
-            "multiset": weighted_times(
-                WeightedMultisetSimulator, "pll", self.N, self.TRIALS, 1000
+            "multiset": built_multiset_times(
+                "pll", self.N, self.TRIALS, 1000
             ),
             "batch": weighted_times(
                 WeightedBatchSimulator, "pll", self.N, self.TRIALS, 2000
@@ -103,8 +126,8 @@ class TestWeightedLadderAgreesOnAngluin:
     @pytest.fixture(scope="class")
     def samples(self):
         return {
-            "multiset": weighted_times(
-                WeightedMultisetSimulator, "angluin", self.N, self.TRIALS, 1000
+            "multiset": built_multiset_times(
+                "angluin", self.N, self.TRIALS, 1000
             ),
             "batch": weighted_times(
                 WeightedBatchSimulator, "angluin", self.N, self.TRIALS, 2000
