@@ -2,8 +2,7 @@
 
 :mod:`repro.bench.report` is the machine-readable engine benchmark
 (the producer of ``BENCH_engine.json``); ``repro bench`` runs it from
-the CLI, and ``benchmarks/report.py`` remains as a thin path-invocable
-shim for existing workflows.
+the CLI.
 """
 
 __all__ = ["report"]

@@ -9,7 +9,7 @@ Eight subcommands::
     repro store merge|status|gc ...    # trial-store maintenance
     repro telemetry report|profile|phases ...  # runtime records
     repro trace export events.jsonl [--out trace.json]   # Perfetto export
-    repro bench [--quick] [--check ...]   # BENCH_engine.json harness
+    repro bench [--quick] [--check]       # BENCH_engine.json harness
 
 ``repro run all`` executes the full per-lemma/per-table sweep (the data
 behind EXPERIMENTS.md).  ``repro campaign`` drives the orchestration
@@ -27,8 +27,8 @@ Every store-reading command accepts either layout — pass the shard root
 directory where you would pass a ``.sqlite`` path.
 
 ``repro bench`` runs the machine-readable engine benchmark
-(:mod:`repro.bench.report`) — the same harness CI's bench-smoke job
-drives — without path-invoking ``benchmarks/report.py``.
+(:mod:`repro.bench.report`), the same harness CI's bench-smoke job
+drives.
 """
 
 from __future__ import annotations
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help=(
             "run the engine benchmark harness (writes BENCH_engine.json; "
-            "flags are the harness's own, e.g. --quick --check-kernel)"
+            "flags are the harness's own: --out, --quick, --check, --seed)"
         ),
     )
     return parser

@@ -51,6 +51,7 @@ from repro.orchestration.spec import (
     ENSEMBLE_MIN_TRIALS,
     TrialOutcome,
     TrialSpec,
+    check_population,
     default_engine,
 )
 from repro.orchestration.store import TrialStore
@@ -139,7 +140,12 @@ def build_simulator(
     to the agent engine (the only engine with agent identity — the
     degradation ladder in :func:`~repro.orchestration.spec.trial_specs`
     routes such specs here).
+
+    Populations at or above
+    :data:`~repro.orchestration.spec.MAX_POPULATION` raise
+    :class:`~repro.errors.ExperimentError` before any engine is built.
     """
+    check_population(n)
     if engine == AUTO_ENGINE:
         engine = default_engine(n)
     if scheduler is not None and scheduler.family != "uniform":
@@ -614,17 +620,19 @@ def _run_ensemble_chunk(
     simulator = EnsembleSimulator(
         sample.build_protocol(), n, [spec.seed for _index, spec in chunk]
     )
-    started = perf_counter()
+    last_retired = perf_counter()
 
     def lane_done(lane_outcome) -> None:
-        # Chunk-start-to-retire wall time: lanes share sweeps, so this
-        # is the honest "how long did this trial occupy a worker" figure
-        # (siblings' work included), not a per-lane solo cost.
+        # Time since the previous lane of this chunk retired: lanes
+        # share sweeps, so this splits the chunk's wall time among its
+        # lanes and the stored durations sum to it (never more).
+        nonlocal last_retired
+        now = perf_counter()
+        duration = now - last_retired
+        last_retired = now
         record(
             index_of_lane[lane_outcome.index],
-            _lane_outcome_to_trial(
-                lane_outcome, n, duration=perf_counter() - started
-            ),
+            _lane_outcome_to_trial(lane_outcome, n, duration=duration),
         )
 
     tracer = make_tracer()

@@ -25,7 +25,6 @@ from typing import Iterable, Mapping, Sequence
 from repro.engine.protocol import Protocol
 from repro.errors import ExperimentError
 from repro.faults.plan import FaultPlan, resolve_engine
-from repro.orchestration.crossover import batch_crossover, superbatch_crossover
 from repro.orchestration.registry import build_protocol, canonical_params
 from repro.schedulers.spec import SchedulerSpec, resolve_schedule_engine
 
@@ -35,10 +34,12 @@ __all__ = [
     "ENGINES",
     "ENSEMBLE_ENGINE",
     "ENSEMBLE_MIN_TRIALS",
+    "MAX_POPULATION",
     "SUPERBATCH_ENGINE_MIN_N",
     "TrialOutcome",
     "TrialSpec",
     "CampaignSpec",
+    "check_population",
     "default_engine",
     "trial_specs",
 ]
@@ -74,19 +75,34 @@ ENSEMBLE_ENGINE = "ensemble"
 #: solo path runs instead).
 ENSEMBLE_MIN_TRIALS = 4
 
-#: Population size at which ``auto`` switches to the batch engine.
-#: Derived from the committed BENCH_engine.json (the smallest measured
-#: PLL ``n`` from which batch stays faster than both per-interaction
-#: engines — see :mod:`repro.orchestration.crossover`); the PR 2
-#: hard-coded constant survives only as that module's fallback for
-#: benchless checkouts.
-BATCH_ENGINE_MIN_N = batch_crossover()
+#: Population size at which ``auto`` switches to the batch engine: the
+#: smallest measured PLL ``n`` from which batch stays faster than both
+#: per-interaction engines.  A code constant, so spec hashes depend only
+#: on code; the bench's crossover gate
+#: (:func:`repro.bench.report.derive_crossovers`) fails when a full-grid
+#: record disagrees with it.
+BATCH_ENGINE_MIN_N = 1 << 16
 
 #: Population size at which ``auto`` switches again, to the count-level
-#: super-batch engine — the smallest measured PLL ``n`` from which it is
-#: the fastest engine outright at every larger measured size (same
-#: derivation module, same committed record).
-SUPERBATCH_ENGINE_MIN_N = superbatch_crossover()
+#: super-batch engine: the smallest measured PLL ``n`` from which it
+#: beats every other engine by the bench's win margin, there and at
+#: every larger measured size.  Checked by the same gate.
+SUPERBATCH_ENGINE_MIN_N = 1_000_000
+
+#: Smallest population no spec or simulator accepts: numpy's
+#: ``Generator.hypergeometric`` and ``multivariate_hypergeometric``,
+#: which the count-level engines and the fault injector draw from,
+#: reject populations of 10^9 or more.
+MAX_POPULATION = 1_000_000_000
+
+
+def check_population(n: int) -> None:
+    """Raise :class:`ExperimentError` unless ``n`` is below the numpy limit."""
+    if n >= MAX_POPULATION:
+        raise ExperimentError(
+            f"population n={n} is too large: numpy's hypergeometric "
+            f"samplers reject populations >= {MAX_POPULATION:,}"
+        )
 
 
 def default_engine(n: int) -> str:
@@ -106,9 +122,7 @@ def default_engine(n: int) -> str:
     trial count — so a given ``(protocol, params, n, seed)`` data point
     hashes identically regardless of which campaign (or how big a
     campaign) requested it, keeping store rows shared across entry
-    points.  It compares against the import-time derivations rather
-    than re-deriving per call, so the exported constants and the
-    resolution can never disagree within a process.
+    points.
     """
     if n >= SUPERBATCH_ENGINE_MIN_N:
         return "superbatch"
@@ -201,6 +215,7 @@ class TrialSpec:
     ) -> "TrialSpec":
         if n < 2:
             raise ExperimentError(f"population needs at least 2 agents, got n={n}")
+        check_population(n)
         if engine not in ENGINES:
             raise ExperimentError(
                 f"unknown engine {engine!r}; use one of: {', '.join(ENGINES)}"

@@ -9,6 +9,8 @@ ensemble`` share a trial store with plain multiset campaigns in both
 directions.
 """
 
+import time
+
 import pytest
 
 from repro.errors import ConvergenceError
@@ -56,6 +58,22 @@ class TestPackedEqualsSolo:
         packed = run_specs(specs)
         solo = run_specs(specs, ensemble_lanes=0)
         assert packed.outcomes == solo.outcomes
+
+
+class TestLaneDurations:
+    def test_stored_durations_split_the_chunk_wall_time(self):
+        # Lanes share sweeps, so each lane stores the time since its
+        # chunk's previous lane retired: the durations of a packed
+        # cell add up to (at most) the wall time of the whole run.
+        specs = cell(trials=8, n=64)
+        with TrialStore(":memory:") as store:
+            started = time.perf_counter()
+            report = run_specs(specs, jobs=1, store=store)
+            wall = time.perf_counter() - started
+            durations = [store.get(spec).duration for spec in specs]
+        assert all(duration > 0 for duration in durations)
+        assert sum(durations) <= wall
+        assert report.executed_duration == pytest.approx(sum(durations))
 
 
 class TestStoreInterchange:

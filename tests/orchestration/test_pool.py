@@ -43,6 +43,15 @@ class TestBuildSimulator:
         with pytest.raises(ExperimentError, match="superbatch"):
             build_simulator(AngluinProtocol(), 64, seed=0, engine="warp")
 
+    @pytest.mark.parametrize(
+        "engine", ["auto", "agent", "multiset", "batch", "superbatch", "ensemble"]
+    )
+    def test_rejects_populations_numpy_cannot_sample(self, engine):
+        # The path `repro simulate` takes without a spec: the numpy
+        # hypergeometric limit fails here, before any engine is built.
+        with pytest.raises(ExperimentError, match="hypergeometric"):
+            build_simulator(AngluinProtocol(), 2 * 10**9, seed=0, engine=engine)
+
 
 class TestRunSpecs:
     def test_preserves_spec_order(self):

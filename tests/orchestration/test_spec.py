@@ -7,6 +7,7 @@ from repro.orchestration.registry import register_protocol
 from repro.orchestration.spec import (
     AUTO_ENGINE,
     BATCH_ENGINE_MIN_N,
+    MAX_POPULATION,
     SUPERBATCH_ENGINE_MIN_N,
     ENGINES,
     CampaignSpec,
@@ -96,6 +97,18 @@ class TestTrialSpec:
         with pytest.raises(ExperimentError):
             spec(n=1)
 
+    def test_rejects_populations_numpy_cannot_sample(self):
+        # numpy's hypergeometric samplers reject populations >= 10^9.
+        assert MAX_POPULATION == 10**9
+        for engine in ENGINES:
+            with pytest.raises(ExperimentError, match="hypergeometric"):
+                spec(n=2 * 10**9, engine=engine)
+        with pytest.raises(ExperimentError, match="hypergeometric"):
+            spec(n=MAX_POPULATION)
+
+    def test_accepts_the_largest_sampleable_population(self):
+        assert spec(n=10**9 - 1, engine="superbatch").n == 10**9 - 1
+
     def test_rejects_unknown_engine(self):
         with pytest.raises(ExperimentError):
             spec(engine="quantum")
@@ -133,6 +146,16 @@ class TestAutoEngine:
     def test_default_engine_crossover(self):
         assert default_engine(BATCH_ENGINE_MIN_N - 1) == "multiset"
         assert default_engine(BATCH_ENGINE_MIN_N) == "batch"
+
+    def test_crossovers_are_the_measured_constants(self):
+        assert (BATCH_ENGINE_MIN_N, SUPERBATCH_ENGINE_MIN_N) == (1 << 16, 10**6)
+        resolved = [
+            default_engine(n)
+            for n in (2, (1 << 16) - 1, 1 << 16, 10**6 - 1, 10**6, 10**8)
+        ]
+        assert resolved == [
+            "multiset", "multiset", "batch", "batch", "superbatch", "superbatch"
+        ]
 
     def test_default_engine_resolves_three_regimes(self):
         # multiset below the batch crossover, batch in the middle,

@@ -168,6 +168,12 @@ class TestCommands:
         assert "stabilized" in out
         assert "'L': 1" in out
 
+    def test_simulate_rejects_populations_numpy_cannot_sample(self, capsys):
+        argv = ["simulate", "--protocol", "pll", "--n", "2000000000"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "hypergeometric" in err
+
     def test_simulate_multiset_engine(self, capsys):
         code = main(
             ["simulate", "--protocol", "pll", "--n", "32", "--engine", "multiset"]
