@@ -19,7 +19,13 @@ detectors):
 * :class:`~repro.engine.ensemble.EnsembleSimulator` — across-trial
   vectorization: M independent same-protocol trials advance in lockstep
   NumPy sweeps, each lane bit-identical to a solo multiset run; the
-  engine for multi-trial campaign cells.
+  engine for multi-trial campaign cells.  It has no single-trial form:
+  one ``ensemble`` trial is a solo multiset run.
+
+The four solo engines stabilize through one driver,
+:func:`repro.engine.convergence.run_until_stabilized` (default budget,
+detector dispatch, heartbeat, trace span, phase-series polls, stage
+profile); each supplies only ``_advance(budget, target)``.
 
 Transitions resolve through a per-protocol backend picked by
 :func:`repro.engine.kernel.make_transition_cache`: protocols that opt in
@@ -44,16 +50,12 @@ from repro.engine.kernel import (
     make_transition_cache,
 )
 from repro.engine.kernel.multiset import KernelMultisetSimulator
-from repro.engine.ensemble import (
-    EnsembleLaneSimulator,
-    EnsembleSimulator,
-    LaneOutcome,
-    SlotLane,
-)
+from repro.engine.ensemble import EnsembleSimulator, LaneOutcome, SlotLane
 from repro.engine.convergence import (
     MonotoneLeaderStabilization,
     SilenceDetector,
     StabilizationDetector,
+    default_max_steps,
     output_stable_forever,
 )
 from repro.engine.fenwick import FenwickTree
@@ -89,7 +91,6 @@ __all__ = [
     "Configuration",
     "ConfigurationSnapshot",
     "DeterministicSchedule",
-    "EnsembleLaneSimulator",
     "EnsembleSimulator",
     "FenwickTree",
     "Field",
@@ -117,6 +118,7 @@ __all__ = [
     "TransitionCache",
     "check_symmetry",
     "compiled_kernel_for",
+    "default_max_steps",
     "kernels_enabled",
     "make_transition_cache",
     "output_stable_forever",

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -58,19 +57,14 @@ from repro.engine.batch.sampling import (
     first_collision,
     sample_block_states,
 )
-from repro.engine.convergence import (
-    MonotoneLeaderStabilization,
-    StabilizationDetector,
-)
+from repro.engine.convergence import run_until_stabilized
 from repro.engine.interner import StateInterner
 from repro.engine.kernel import make_transition_cache
 from repro.engine.protocol import LEADER, Protocol, State
-from repro.errors import ConvergenceError, SimulationError
+from repro.errors import SimulationError
 from repro.telemetry.core import cache_summary, telemetry_enabled
-from repro.telemetry.heartbeat import make_heartbeat
 from repro.telemetry.probe import make_phase_series
-from repro.telemetry.profile import StageProfile, emit_profile
-from repro.telemetry.trace import make_tracer
+from repro.telemetry.profile import StageProfile
 
 __all__ = ["BatchSimulator", "BatchStats"]
 
@@ -112,6 +106,9 @@ class BatchSimulator:
     #: Engine name stamped into telemetry summaries and heartbeats
     #: (subclasses override).
     ENGINE_NAME = "batch"
+    #: ``_advance`` returns after one block; the stabilization driver
+    #: polls after every block.
+    BLOCK_ENGINE = True
 
     def __init__(
         self,
@@ -374,15 +371,12 @@ class BatchSimulator:
         ticket = int(self._rng.integers(0, int(cumulative[-1])))
         return int(np.searchsorted(cumulative, ticket, side="right"))
 
-    def _advance_block(
-        self, budget: int, leader_target: int | None
-    ) -> tuple[int, bool]:
+    def _advance_block(self, budget: int, leader_target: int | None) -> int:
         """Sample and apply one block of at most ``budget`` interactions.
 
-        Returns ``(applied, reached)`` where ``reached`` reports whether
-        the leader count hit ``leader_target`` exactly at the last applied
-        interaction (the block is truncated there, so ``self.steps`` is
-        the true first-hit step).
+        Returns the interactions applied.  A block whose leader count
+        hits ``leader_target`` is truncated at the first hit, so
+        ``self.steps`` is the true first-hit step.
         """
         pairs = min(self._block_pairs, budget)
         profile = self._profile
@@ -422,7 +416,7 @@ class BatchSimulator:
         self.stats.block_steps += use
         active = int(np.count_nonzero((post0 != pre0) | (post1 != pre1)))
         if reached:
-            return use, True
+            return use
         applied = use
         if collision_flat >= 0 and use == free and use < budget:
             applied += 1
@@ -440,10 +434,10 @@ class BatchSimulator:
                 leader_target is not None
                 and self.leader_count == leader_target
             ):
-                return applied, True
+                return applied
         if active == 0 and applied >= 16:
             self._null_mode = True
-        return applied, False
+        return applied
 
     def _collision_step(
         self,
@@ -523,9 +517,7 @@ class BatchSimulator:
     #: fraction of scheduler probability; block sampling is cheaper then.
     _NULL_EXIT = 1.0 / 64.0
 
-    def _null_skip(
-        self, budget: int, leader_target: int | None
-    ) -> tuple[int, bool] | None:
+    def _null_skip(self, budget: int) -> int | None:
         """Skip a Geometric run of null interactions, apply one non-null.
 
         Exact: with ``p`` the probability that a scheduler pick is a
@@ -558,7 +550,7 @@ class BatchSimulator:
             # Silent configuration: every remaining interaction is a no-op.
             self.steps += budget
             self.stats.null_skipped_steps += budget
-            return budget, False
+            return budget
         active0 = pairs0[active]
         active1 = pairs1[active]
         weights = counts[active0] * counts[active1]
@@ -572,7 +564,7 @@ class BatchSimulator:
         if skip > budget:
             self.steps += budget
             self.stats.null_skipped_steps += budget
-            return budget, False
+            return budget
         cumulative = np.cumsum(weights)
         ticket = int(self._rng.integers(0, active_weight))
         chosen = int(np.searchsorted(cumulative, ticket, side="right"))
@@ -589,18 +581,15 @@ class BatchSimulator:
             np.array([post0]),
             np.array([post1]),
         )
-        reached = (
-            leader_target is not None and self.leader_count == leader_target
-        )
-        return skip, reached
+        return skip
 
-    def _advance(
-        self, budget: int, leader_target: int | None
-    ) -> tuple[int, bool]:
-        """One scheduling decision: geometric fast path or sampled block."""
+    def _advance(self, budget: int, leader_target: int | None) -> int:
+        """One scheduling decision — geometric fast path or sampled
+        block — of at most ``budget`` interactions; returns how many ran.
+        A block that hits ``leader_target`` is cut at the hit."""
         if self._null_mode:
             with self._profile.stage("null"):
-                skipped = self._null_skip(budget, leader_target)
+                skipped = self._null_skip(budget)
             if skipped is not None:
                 return skipped
             self._null_mode = False
@@ -626,103 +615,14 @@ class BatchSimulator:
         if until is not None and until(self):
             return 0
         while executed < max_steps:
-            executed += self._advance(max_steps - executed, None)[0]
+            executed += self._advance(max_steps - executed, None)
             if self.checkpointer is not None:
                 self.checkpointer.maybe_save(self)
             if until is not None and until(self):
                 break
         return executed
 
-    def run_until_stabilized(
-        self,
-        detector: StabilizationDetector | None = None,
-        max_steps: int | None = None,
-        check_every: int = 1,
-    ) -> int:
-        """Run until stabilization; return total steps at that point.
-
-        With the default :class:`MonotoneLeaderStabilization` detector the
-        returned step count is exact — blocks are truncated at the first
-        interaction whose leader count hits the target.  Other detectors
-        are polled at block boundaries.
-        """
-        if detector is None:
-            detector = MonotoneLeaderStabilization()
-        if max_steps is None:
-            max_steps = 5000 * self.n * max(1, self.n.bit_length())
-        if detector.check(self):
-            return self.steps
-        if isinstance(detector, MonotoneLeaderStabilization):
-            target = detector.target
-            executed = 0
-            heartbeat = make_heartbeat(
-                self.ENGINE_NAME,
-                self.protocol.name,
-                self.n,
-                self.seed,
-                max_steps,
-                enabled=self._telemetry,
-            )
-            series = self.phase_series
-            profile = self._profile
-            tracer = make_tracer()
-            if tracer is not None:
-                profile.tracer = tracer
-            trial_span = (
-                nullcontext()
-                if tracer is None
-                else tracer.span(
-                    "trial",
-                    cat="trial",
-                    engine=self.ENGINE_NAME,
-                    protocol=self.protocol.name,
-                    n=self.n,
-                    seed=self.seed,
-                )
-            )
-            try:
-                with trial_span:
-                    if series is not None:
-                        series.poll(self.steps, self.state_counts)
-                    while executed < max_steps:
-                        applied, reached = self._advance(
-                            max_steps - executed, target
-                        )
-                        executed += applied
-                        # Probe polls are chain-determined (block
-                        # boundaries; the schedule reads only steps), so
-                        # the series never depends on the telemetry
-                        # switch — the Section 9 neutrality contract.
-                        if series is not None:
-                            series.poll(self.steps, self.state_counts)
-                        if reached:
-                            break
-                        # One branch per block when telemetry is off;
-                        # blocks span Theta(sqrt(n)) interactions (whole
-                        # runs on the super-batch subclass), so the poll
-                        # never sits on a per-interaction path.
-                        if heartbeat is not None:
-                            heartbeat.maybe_beat(self.steps)
-                        if self.checkpointer is not None:
-                            self.checkpointer.maybe_save(self)
-                    if series is not None:
-                        series.finish(self.steps, self.state_counts)
-            finally:
-                profile.tracer = None
-            emit_profile(
-                profile,
-                self.ENGINE_NAME,
-                self.protocol.name,
-                self.n,
-                self.seed,
-                self.steps,
-            )
-        else:
-            self.run(max_steps, until=detector.check, check_every=check_every)
-        if not detector.check(self):
-            raise ConvergenceError(
-                f"protocol {self.protocol.name!r} (n={self.n}) did not "
-                f"stabilize within {max_steps} steps",
-                steps=self.steps,
-            )
-        return self.steps
+    #: The shared driver (:func:`repro.engine.convergence.run_until_stabilized`);
+    #: with the default detector the returned step count is exact, since
+    #: blocks are truncated at the first interaction hitting the target.
+    run_until_stabilized = run_until_stabilized

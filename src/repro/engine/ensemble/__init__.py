@@ -10,15 +10,10 @@ the faithfulness argument.
 """
 
 from repro.engine.ensemble.lane import SlotLane
-from repro.engine.ensemble.simulator import (
-    EnsembleLaneSimulator,
-    EnsembleSimulator,
-    LaneOutcome,
-)
+from repro.engine.ensemble.simulator import EnsembleSimulator, LaneOutcome
 from repro.engine.ensemble.tables import PairTables, PairTableOverflow
 
 __all__ = [
-    "EnsembleLaneSimulator",
     "EnsembleSimulator",
     "LaneOutcome",
     "PairTables",

@@ -48,6 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.engine.convergence import default_max_steps
 from repro.engine.ensemble.lane import SlotLane
 from repro.engine.ensemble.tables import PairTables, PairTableOverflow
 from repro.engine.interner import StateInterner
@@ -57,11 +58,10 @@ from repro.engine.protocol import LEADER, Protocol, State
 from repro.errors import ConvergenceError, SimulationError
 from repro.telemetry.core import cache_summary, telemetry_enabled
 from repro.telemetry.heartbeat import make_heartbeat
-from repro.telemetry.probe import make_phase_series
 from repro.telemetry.profile import StageProfile, emit_profile
 from repro.telemetry.trace import make_tracer
 
-__all__ = ["EnsembleLaneSimulator", "EnsembleSimulator", "LaneOutcome"]
+__all__ = ["EnsembleSimulator", "LaneOutcome"]
 
 #: Below this many surviving lanes the vectorized sweep detaches the rest
 #: into scalar SlotLane continuations (fixed NumPy dispatch overhead per
@@ -133,7 +133,7 @@ class EnsembleSimulator:
         # Sweep/retire stage profile (gated wall-clock tier).  Packed
         # lanes carry no phase series: per-lane phase timelines would
         # depend on sweep packing, and store rows must stay
-        # packing-independent — the lane facade below probes instead.
+        # packing-independent — solo multiset runs probe instead.
         self._profile = StageProfile(enabled=telemetry_enabled(telemetry))
         if hasattr(self.cache, "profile"):
             self.cache.profile = self._profile
@@ -523,11 +523,11 @@ class EnsembleSimulator:
         each outcome the moment its lane retires (so callers can persist
         completed trials before the slowest lane finishes).  A lane that
         exhausts ``max_steps`` (default: the solo engines'
-        ``5000 * n * bit_length(n)``) raises :class:`ConvergenceError`
+        :func:`~repro.engine.convergence.default_max_steps`) raises :class:`ConvergenceError`
         naming its seed; outcomes already streamed stay valid.
         """
         if max_steps is None:
-            max_steps = 5000 * self.n * max(1, self.n.bit_length())
+            max_steps = default_max_steps(self.n)
         # Aggregate heartbeat over all lanes: progress is the monotone
         # committed-interaction total, the ceiling its worst case (every
         # lane running to its full per-lane budget).
@@ -706,177 +706,3 @@ class EnsembleSimulator:
             "detached_lanes": self.detached_lanes,
             "cache": cache_summary(self.cache.stats),
         }
-
-
-class EnsembleLaneSimulator:
-    """Single-trial facade with the classic simulator surface.
-
-    Lets ``build_simulator``/``repro simulate`` treat ``ensemble`` like
-    any other engine.  One lane needs no vectorization, so this runs the
-    exact chain on a scalar :class:`SlotLane` directly.
-    """
-
-    def __init__(
-        self,
-        protocol: Protocol,
-        n: int,
-        seed: int | None = None,
-        cache_entries: int = 1 << 20,
-        use_kernel: bool | None = None,
-        telemetry: bool | None = None,
-    ) -> None:
-        interner = StateInterner()
-        cache = make_transition_cache(
-            protocol, interner, cache_entries, use_kernel=use_kernel
-        )
-        self.protocol = protocol
-        self.n = n
-        self.seed = seed
-        self.interner = interner
-        self.cache = cache
-        self._telemetry = telemetry
-        # Stage profile (gated) and phase series (deterministic tier,
-        # always on): see DESIGN.md Section 9.
-        self._profile = StageProfile(enabled=telemetry_enabled(telemetry))
-        self.phase_series = make_phase_series(protocol, n)
-        if hasattr(self.cache, "profile"):
-            self.cache.profile = self._profile
-        self._lane = SlotLane(protocol, n, seed, cache=cache)
-
-    @property
-    def steps(self) -> int:
-        return self._lane.steps
-
-    @property
-    def parallel_time(self) -> float:
-        return self._lane.parallel_time
-
-    @property
-    def leader_count(self) -> int:
-        return self._lane.lead
-
-    def distinct_states_seen(self) -> int:
-        return self._lane.distinct_states_seen()
-
-    def state_counts(self) -> Counter[State]:
-        return self._lane.state_counts()
-
-    def run(self, max_steps: int, until=None, check_every: int = 1) -> int:
-        if until is not None:
-            raise SimulationError(
-                "the ensemble lane facade does not support until predicates; "
-                "use the multiset engine for custom stopping"
-            )
-        return self._lane.run(max_steps, stop_at_target=False)
-
-    def run_until_stabilized(
-        self,
-        detector=None,
-        max_steps: int | None = None,
-        check_every: int = 1,
-    ) -> int:
-        if detector is not None and getattr(detector, "target", None) is None:
-            raise SimulationError(
-                "the ensemble engine supports monotone-leader detection only"
-            )
-        if detector is not None:
-            self._lane.target = detector.target
-        if max_steps is None:
-            max_steps = 5000 * self.n * max(1, self.n.bit_length())
-        heartbeat = make_heartbeat(
-            "ensemble",
-            self.protocol.name,
-            self.n,
-            self.seed,
-            max_steps,
-            enabled=self._telemetry,
-        )
-        series = self.phase_series
-        profile = self._profile
-        tracer = make_tracer()
-        if tracer is not None:
-            profile.tracer = tracer
-        trial_span = (
-            nullcontext()
-            if tracer is None
-            else tracer.span(
-                "trial",
-                cat="trial",
-                engine="ensemble",
-                protocol=self.protocol.name,
-                n=self.n,
-                seed=self.seed,
-            )
-        )
-        try:
-            with trial_span:
-                if heartbeat is None and series is None:
-                    self._lane.run(max_steps, stop_at_target=True)
-                else:
-                    # Chunked so the lane keeps beating and the probe
-                    # polls on schedule; SlotLane.run resumes
-                    # mid-draw-batch, so chunking never changes the
-                    # chain, and the chunk size depends only on the
-                    # spec — never on the telemetry switch.
-                    chunk = (
-                        1 << 16
-                        if series is None
-                        else min(1 << 16, max(256, series.stride))
-                    )
-                    budget = max_steps
-                    lane = self._lane
-                    if series is not None:
-                        series.poll(lane.steps, lane.state_counts)
-                    while budget > 0 and lane.lead != lane.target:
-                        budget -= lane.run(
-                            min(budget, chunk), stop_at_target=True
-                        )
-                        if heartbeat is not None:
-                            heartbeat.maybe_beat(lane.steps)
-                        if series is not None:
-                            series.poll(lane.steps, lane.state_counts)
-                    if series is not None:
-                        series.finish(lane.steps, lane.state_counts)
-        finally:
-            profile.tracer = None
-        emit_profile(
-            profile,
-            "ensemble",
-            self.protocol.name,
-            self.n,
-            self.seed,
-            self.steps,
-        )
-        if self._lane.lead != self._lane.target:
-            raise ConvergenceError(
-                f"protocol {self.protocol.name!r} (n={self.n}) did not "
-                f"stabilize within {max_steps} steps",
-                steps=self._lane.steps,
-            )
-        return self._lane.steps
-
-    def telemetry_summary(self) -> dict:
-        """Deterministic counter summary for the trial store."""
-        return {
-            "engine": "ensemble",
-            "path": "lane",
-            "steps": self.steps,
-            "distinct_states": self.distinct_states_seen(),
-            "cache": cache_summary(self.cache.stats),
-        }
-
-    def phases_json(self) -> str | None:
-        """Serialized phase series for the trial store, or ``None``."""
-        series = self.phase_series
-        return None if series is None else series.to_json()
-
-    def describe(self) -> str:
-        outputs = Counter()
-        output = self.protocol.output
-        for state, count in self._lane.state_counts().items():
-            outputs[output(state)] += count
-        return (
-            f"{self.protocol.name}: n={self.n} steps={self.steps} "
-            f"(parallel time {self.parallel_time:.2f}) "
-            f"outputs={dict(outputs)}"
-        )

@@ -23,7 +23,7 @@ with the per-step Python cost stripped down:
   called in the loop.
 
 Both engines drive stabilization through the shared
-:func:`~repro.engine.multiset.run_to_leader_target`, so they poll the
+:func:`~repro.engine.convergence.run_to_leader_target`, so they poll the
 phase series at the same steps and store byte-identical ``phases``.
 
 With ``weights`` (a symbol -> weight map) the same loop realizes a
@@ -54,15 +54,12 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.engine.convergence import (
-    MonotoneLeaderStabilization,
-    StabilizationDetector,
-)
+from repro.engine.convergence import run_until_stabilized
 from repro.engine.interner import StateInterner
 from repro.engine.kernel import make_transition_cache
-from repro.engine.multiset import DRAW_BATCH_SIZE, run_to_leader_target
+from repro.engine.multiset import DRAW_BATCH_SIZE
 from repro.engine.protocol import LEADER, Protocol, State
-from repro.errors import ConvergenceError, SimulationError
+from repro.errors import SimulationError
 from repro.telemetry.core import cache_summary, telemetry_enabled
 from repro.telemetry.probe import make_phase_series
 from repro.telemetry.profile import StageProfile
@@ -75,6 +72,9 @@ _UNSEEN = object()
 
 class KernelMultisetSimulator:
     """Execute a kernel protocol on the sorted-slot multiset chain."""
+
+    ENGINE_NAME = "multiset"
+    BLOCK_ENGINE = False
 
     def __init__(
         self,
@@ -473,27 +473,5 @@ class KernelMultisetSimulator:
                 break
         return executed
 
-    def run_until_stabilized(
-        self,
-        detector: StabilizationDetector | None = None,
-        max_steps: int | None = None,
-        check_every: int = 1,
-    ) -> int:
-        """Run until stabilization; return total steps at that point."""
-        if detector is None:
-            detector = MonotoneLeaderStabilization()
-        if max_steps is None:
-            max_steps = 5000 * self.n * max(1, self.n.bit_length())
-        if detector.check(self):
-            return self.steps
-        if isinstance(detector, MonotoneLeaderStabilization) and check_every == 1:
-            run_to_leader_target(self, detector.target, max_steps)
-        else:
-            self.run(max_steps, until=detector.check, check_every=check_every)
-        if not detector.check(self):
-            raise ConvergenceError(
-                f"protocol {self.protocol.name!r} (n={self.n}) did not "
-                f"stabilize within {max_steps} steps",
-                steps=self.steps,
-            )
-        return self.steps
+    #: The shared driver (:func:`repro.engine.convergence.run_until_stabilized`).
+    run_until_stabilized = run_until_stabilized

@@ -20,27 +20,21 @@ distribution (tested statistically in ``tests/engine/test_engines_agree``).
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import nullcontext
 from typing import Callable
 
 import numpy as np
 
-from repro.engine.convergence import (
-    MonotoneLeaderStabilization,
-    StabilizationDetector,
-)
+from repro.engine.convergence import run_until_stabilized, step_to_leader_target
 from repro.engine.fenwick import FenwickTree
 from repro.engine.interner import StateInterner
 from repro.engine.kernel import make_transition_cache
 from repro.engine.protocol import LEADER, Protocol, State
-from repro.errors import ConvergenceError, SimulationError
+from repro.errors import SimulationError
 from repro.telemetry.core import cache_summary, telemetry_enabled
-from repro.telemetry.heartbeat import make_heartbeat
-from repro.telemetry.probe import make_phase_series, poll_mask as _poll_mask
-from repro.telemetry.profile import StageProfile, emit_profile
-from repro.telemetry.trace import make_tracer
+from repro.telemetry.probe import make_phase_series
+from repro.telemetry.profile import StageProfile
 
-__all__ = ["DRAW_BATCH_SIZE", "MultisetSimulator", "run_to_leader_target"]
+__all__ = ["DRAW_BATCH_SIZE", "MultisetSimulator"]
 
 #: Scheduler draws consumed from the generator per refill: first a block
 #: of initiator tickets in ``[0, n)``, then responder tickets in
@@ -53,6 +47,9 @@ DRAW_BATCH_SIZE = 16384
 
 class MultisetSimulator:
     """Execute a protocol on the multiset-of-states representation."""
+
+    ENGINE_NAME = "multiset"
+    BLOCK_ENGINE = False
 
     def __init__(
         self,
@@ -173,8 +170,11 @@ class MultisetSimulator:
         self._second_draws = self._rng.integers(0, self.n - 1, size=size).tolist()
         self._cursor = 0
 
-    def step(self) -> tuple[int, int, int, int]:
-        """Execute one interaction; returns (pre0, pre1, post0, post1) ids."""
+    def _propose(self) -> tuple[int, int]:
+        """The next ordered (initiator, responder) state pair.
+
+        Leaves the initiator out of the Fenwick tree, as the responder
+        draw requires; :meth:`step` settles the counts."""
         cursor = self._cursor
         if cursor >= len(self._first_draws):
             self._refill_draws()
@@ -185,7 +185,12 @@ class MultisetSimulator:
         pre0 = fenwick.find(self._first_draws[cursor])
         # Responder's state: weighted over the remaining n - 1 agents.
         fenwick.add(pre0, -1)
-        pre1 = fenwick.find(self._second_draws[cursor])
+        return pre0, fenwick.find(self._second_draws[cursor])
+
+    def step(self) -> tuple[int, int, int, int]:
+        """Execute one interaction; returns (pre0, pre1, post0, post1) ids."""
+        pre0, pre1 = self._propose()
+        fenwick = self._fenwick
         post0, post1 = self.cache.apply(pre0, pre1)
         self.steps += 1
         if post0 == pre0 and post1 == pre1:
@@ -235,43 +240,11 @@ class MultisetSimulator:
                 break
         return executed
 
-    def _advance(self, max_steps: int, leader_target: int) -> int:
-        """Up to ``max_steps`` interactions, stopping at the first one
-        whose leader count hits ``leader_target``."""
-        output_counts = self.output_counts
-        step = self.step
-        executed = 0
-        while executed < max_steps:
-            step()
-            executed += 1
-            if output_counts.get(LEADER, 0) == leader_target:
-                break
-        return executed
-
-    def run_until_stabilized(
-        self,
-        detector: StabilizationDetector | None = None,
-        max_steps: int | None = None,
-        check_every: int = 1,
-    ) -> int:
-        """Run until stabilization; return total steps at that point."""
-        if detector is None:
-            detector = MonotoneLeaderStabilization()
-        if max_steps is None:
-            max_steps = 5000 * self.n * max(1, self.n.bit_length())
-        if detector.check(self):
-            return self.steps
-        if isinstance(detector, MonotoneLeaderStabilization) and check_every == 1:
-            run_to_leader_target(self, detector.target, max_steps)
-        else:
-            self.run(max_steps, until=detector.check, check_every=check_every)
-        if not detector.check(self):
-            raise ConvergenceError(
-                f"protocol {self.protocol.name!r} (n={self.n}) did not "
-                f"stabilize within {max_steps} steps",
-                steps=self.steps,
-            )
-        return self.steps
+    #: Stabilization through the shared driver
+    #: (:func:`repro.engine.convergence.run_until_stabilized`), advanced
+    #: one ``step()`` at a time.
+    _advance = step_to_leader_target
+    run_until_stabilized = run_until_stabilized
 
     def distinct_states_seen(self) -> int:
         """Number of distinct states interned so far."""
@@ -299,72 +272,3 @@ class MultisetSimulator:
             f"(parallel time {self.parallel_time:.2f}) "
             f"outputs={dict(self.output_counts)}"
         )
-
-
-def run_to_leader_target(sim, target: int, max_steps: int) -> None:
-    """Advance a multiset-chain engine until its leader count hits
-    ``target`` or ``max_steps`` interactions elapse.
-
-    Shared by :class:`MultisetSimulator` and
-    :class:`~repro.engine.kernel.multiset.KernelMultisetSimulator`, so
-    both record the same phase series.  ``sim._advance(k, target)`` runs
-    at most ``k`` interactions and stops early at the target.  Poll
-    sites (heartbeat and phase series) fall where this call's executed
-    count reaches a multiple of ``poll_mask + 1``, never at a segment cut
-    short by the budget or the target.  The mask follows the probe
-    stride, bounded to ``[2^8, 2^14]``, and depends only on the spec, so
-    poll sites never depend on the telemetry switch.
-    """
-    heartbeat = make_heartbeat(
-        "multiset",
-        sim.protocol.name,
-        sim.n,
-        sim.seed,
-        max_steps,
-        enabled=sim._telemetry,
-    )
-    series = sim.phase_series
-    profile = sim._profile
-    advance = sim._advance
-    tracer = make_tracer()
-    if tracer is not None:
-        profile.tracer = tracer
-    trial_span = (
-        nullcontext()
-        if tracer is None
-        else tracer.span(
-            "trial",
-            cat="trial",
-            engine="multiset",
-            protocol=sim.protocol.name,
-            n=sim.n,
-            seed=sim.seed,
-        )
-    )
-    try:
-        with trial_span:
-            if heartbeat is None and series is None:
-                advance(max_steps, target)
-            else:
-                mask = _poll_mask(series)
-                executed = 0
-                if series is not None:
-                    series.poll(sim.steps, sim.state_counts)
-                while executed < max_steps:
-                    executed += advance(
-                        min(mask + 1, max_steps - executed), target
-                    )
-                    if sim.leader_count == target:
-                        break
-                    if not executed & mask:
-                        if heartbeat is not None:
-                            heartbeat.maybe_beat(sim.steps)
-                        if series is not None:
-                            series.poll(sim.steps, sim.state_counts)
-                if series is not None:
-                    series.finish(sim.steps, sim.state_counts)
-    finally:
-        profile.tracer = None
-    emit_profile(
-        profile, "multiset", sim.protocol.name, sim.n, sim.seed, sim.steps
-    )

@@ -15,23 +15,17 @@ detected in O(1) per step via incrementally maintained output counts.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import nullcontext
 from typing import Callable, Iterable, Sequence
 
-from repro.engine.convergence import (
-    MonotoneLeaderStabilization,
-    StabilizationDetector,
-)
+from repro.engine.convergence import run_until_stabilized, step_to_leader_target
 from repro.engine.interner import StateInterner
 from repro.engine.kernel import make_transition_cache
 from repro.engine.protocol import LEADER, Protocol, State
 from repro.engine.scheduler import PairScheduler, RandomScheduler
-from repro.errors import ConvergenceError, SimulationError
+from repro.errors import SimulationError
 from repro.telemetry.core import cache_summary, telemetry_enabled
-from repro.telemetry.heartbeat import make_heartbeat
-from repro.telemetry.probe import make_phase_series, poll_mask as _poll_mask
-from repro.telemetry.profile import StageProfile, emit_profile
-from repro.telemetry.trace import make_tracer
+from repro.telemetry.probe import make_phase_series
+from repro.telemetry.profile import StageProfile
 
 __all__ = ["AgentSimulator", "Hook"]
 
@@ -64,6 +58,9 @@ class AgentSimulator:
         :mod:`repro.engine.kernel`); ``True``/``False`` force one path.
         Trajectories are identical either way.
     """
+
+    ENGINE_NAME = "agent"
+    BLOCK_ENGINE = False
 
     def __init__(
         self,
@@ -250,108 +247,11 @@ class AgentSimulator:
                 break
         return executed
 
-    def run_until_stabilized(
-        self,
-        detector: StabilizationDetector | None = None,
-        max_steps: int | None = None,
-        check_every: int = 1,
-    ) -> int:
-        """Run until the detector fires; return total steps at that point.
-
-        Raises :class:`~repro.errors.ConvergenceError` if ``max_steps``
-        (default ``5000 * n * max(1, log2 n)``) elapses first.
-        """
-        if detector is None:
-            detector = MonotoneLeaderStabilization()
-        if max_steps is None:
-            max_steps = 5000 * self.n * max(1, self.n.bit_length())
-        if detector.check(self):
-            return self.steps
-        if isinstance(detector, MonotoneLeaderStabilization) and check_every == 1:
-            # Fast path: O(1) counter comparison inlined into the loop.
-            executed = self._run_until_leader_count(detector.target, max_steps)
-        else:
-            executed = self.run(
-                max_steps,
-                until=detector.check,
-                check_every=check_every,
-            )
-        if not detector.check(self):
-            raise ConvergenceError(
-                f"protocol {self.protocol.name!r} (n={self.n}) did not "
-                f"stabilize within {max_steps} steps",
-                steps=self.steps,
-            )
-        return self.steps
-
-    def _run_until_leader_count(self, target: int, max_steps: int) -> int:
-        output_counts = self.output_counts
-        step = self.step
-        executed = 0
-        heartbeat = make_heartbeat(
-            "agent",
-            self.protocol.name,
-            self.n,
-            self.seed,
-            max_steps,
-            enabled=self._telemetry,
-        )
-        series = self.phase_series
-        profile = self._profile
-        tracer = make_tracer()
-        if tracer is not None:
-            profile.tracer = tracer
-        trial_span = (
-            nullcontext()
-            if tracer is None
-            else tracer.span(
-                "trial",
-                cat="trial",
-                engine="agent",
-                protocol=self.protocol.name,
-                n=self.n,
-                seed=self.seed,
-            )
-        )
-        try:
-            with trial_span:
-                if heartbeat is None and series is None:
-                    while executed < max_steps:
-                        step()
-                        executed += 1
-                        if output_counts.get(LEADER, 0) == target:
-                            break
-                else:
-                    # Separate loop so the poll-free path pays nothing.
-                    # The poll mask follows the probe stride (bounded
-                    # to [2^8, 2^14]) and depends only on the spec —
-                    # poll sites never depend on the telemetry switch.
-                    mask = _poll_mask(series)
-                    if series is not None:
-                        series.poll(self.steps, self.state_counts)
-                    while executed < max_steps:
-                        step()
-                        executed += 1
-                        if output_counts.get(LEADER, 0) == target:
-                            break
-                        if not executed & mask:
-                            if heartbeat is not None:
-                                heartbeat.maybe_beat(self.steps)
-                            if series is not None:
-                                series.poll(self.steps, self.state_counts)
-                    if series is not None:
-                        series.finish(self.steps, self.state_counts)
-        finally:
-            profile.tracer = None
-        emit_profile(
-            profile,
-            "agent",
-            self.protocol.name,
-            self.n,
-            self.seed,
-            self.steps,
-        )
-        return executed
+    #: Stabilization through the shared driver
+    #: (:func:`repro.engine.convergence.run_until_stabilized`), advanced
+    #: one ``step()`` at a time.
+    _advance = step_to_leader_target
+    run_until_stabilized = run_until_stabilized
 
     # ------------------------------------------------------------------
     # introspection

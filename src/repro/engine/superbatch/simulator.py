@@ -110,16 +110,14 @@ class SuperBatchSimulator(BatchSimulator):
     # block execution
     # ------------------------------------------------------------------
 
-    def _advance_block(
-        self, budget: int, leader_target: int | None
-    ) -> tuple[int, bool]:
+    def _advance_block(self, budget: int, leader_target: int | None) -> int:
         """Sample and apply one collision-free run plus its collision.
 
-        Returns ``(applied, reached)`` exactly like the batch engine's
-        block: ``reached`` means the leader count hit ``leader_target``
-        at the last applied interaction, with ``self.steps`` the true
-        first-hit step (runs are truncated by exchangeable prefix
-        splits, see :meth:`_truncate_run`).
+        Returns the interactions applied, like the batch engine's block:
+        a run whose leader count hits ``leader_target`` ends at the
+        first hit, so ``self.steps`` is the true first-hit step (runs
+        are truncated by exchangeable prefix splits, see
+        :meth:`_truncate_run`).
         """
         rng = self._rng
         limit = min(budget, self._run_cap)
@@ -161,7 +159,7 @@ class SuperBatchSimulator(BatchSimulator):
                     stats.blocks += 1
                     stats.block_steps += steps
                     stats.truncated_runs += 1
-                    return steps, True
+                    return steps
             with profile.stage("commit"):
                 touched = self._commit_weighted(
                     pre0, pre1, post0, post1, weight
@@ -181,10 +179,10 @@ class SuperBatchSimulator(BatchSimulator):
                 leader_target is not None
                 and self.leader_count == leader_target
             ):
-                return applied, True
+                return applied
         if active == 0 and applied >= 16:
             self._null_mode = True
-        return applied, False
+        return applied
 
     def _commit_weighted(
         self,

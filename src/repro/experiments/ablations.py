@@ -20,11 +20,11 @@ import time
 from repro.analysis.stats import summarize
 from repro.core.params import PLLParameters
 from repro.core.pll import PLLProtocol
-from repro.engine.multiset import MultisetSimulator
 from repro.engine.simulator import AgentSimulator
 from repro.experiments.hooks import EpochEntryTracker
 from repro.experiments.runner import stabilization_trials
 from repro.experiments.spec import ExperimentResult, ExperimentSpec, register, scaled
+from repro.orchestration.pool import build_simulator
 
 SPEC = ExperimentSpec(
     id="E12",
@@ -106,14 +106,14 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
             }
         )
 
-    # Engine throughput.
+    # Engine throughput, on the engine each name builds for trials (for
+    # PLL, "multiset" is the sorted-slot kernel engine).
     n = 1024
     budget = scaled([200000], scale)[0]
-    for engine_name, engine_cls in (
-        ("agent", AgentSimulator),
-        ("multiset", MultisetSimulator),
-    ):
-        sim = engine_cls(PLLProtocol.for_population(n), n, seed=seed)
+    for engine_name in ("agent", "multiset"):
+        sim = build_simulator(
+            PLLProtocol.for_population(n), n, seed=seed, engine=engine_name
+        )
         started = time.perf_counter()
         sim.run(budget)
         elapsed = time.perf_counter() - started

@@ -49,7 +49,10 @@ from typing import Counter as CounterType
 
 import numpy as np
 
-from repro.engine.convergence import MonotoneLeaderStabilization
+from repro.engine.convergence import (
+    MonotoneLeaderStabilization,
+    default_max_steps,
+)
 from repro.engine.scheduler import RandomScheduler, RestrictedScheduler
 from repro.errors import ConvergenceError, SimulationError
 from repro.faults.plan import FAULT_STREAM, FaultEvent, FaultPlan
@@ -232,7 +235,7 @@ class FaultInjector:
         """
         n = sim.n
         if max_steps is None:
-            max_steps = 5000 * n * max(1, n.bit_length())
+            max_steps = default_max_steps(n)
         self.plan.validate_against(n, max_steps)
         detector = MonotoneLeaderStabilization()
         events = self.plan.events

@@ -32,7 +32,7 @@ from time import perf_counter
 from typing import Callable, Sequence
 
 from repro.engine.batch import BatchSimulator
-from repro.engine.ensemble import EnsembleLaneSimulator, EnsembleSimulator
+from repro.engine.ensemble import EnsembleSimulator
 from repro.engine.ensemble.simulator import DEFAULT_DETACH_LANES
 from repro.engine.kernel import compiled_kernel_for, kernels_enabled
 from repro.engine.kernel.multiset import KernelMultisetSimulator
@@ -91,7 +91,6 @@ Simulator = (
     | KernelMultisetSimulator
     | BatchSimulator
     | SuperBatchSimulator
-    | EnsembleLaneSimulator
 )
 
 _ENGINE_FACTORIES: dict[str, Callable[..., Simulator]] = {
@@ -116,9 +115,10 @@ def build_simulator(
 
     ``engine="auto"`` picks per population size via
     :func:`~repro.orchestration.spec.default_engine`;
-    ``engine="ensemble"`` builds a single-lane facade over the ensemble
-    engine's exact scalar lane (multi-lane packing lives in
-    :func:`run_specs`, which needs whole spec batches to vectorize over).
+    ``engine="ensemble"`` builds ``"multiset"``, as
+    :func:`~repro.orchestration.spec.trial_specs` resolves it: one lane
+    is a solo multiset run, and multi-lane packing lives in
+    :func:`run_specs`, which needs whole spec batches to vectorize over.
 
     ``use_kernel`` selects the transition-resolution path (see
     :mod:`repro.engine.kernel`): ``None`` auto-selects the compiled
@@ -148,12 +148,12 @@ def build_simulator(
     check_population(n)
     if engine == AUTO_ENGINE:
         engine = default_engine(n)
+    elif engine == ENSEMBLE_ENGINE:
+        engine = "multiset"
     if scheduler is not None and scheduler.family != "uniform":
         return _build_scheduled_simulator(
             protocol, n, seed, engine, scheduler, use_kernel
         )
-    if engine == ENSEMBLE_ENGINE:
-        return EnsembleLaneSimulator(protocol, n, seed=seed, use_kernel=use_kernel)
     if engine == "multiset" and _kernelize(protocol, use_kernel):
         return KernelMultisetSimulator(protocol, n, seed=seed)
     try:
@@ -592,7 +592,7 @@ def _lane_outcome_to_trial(
     # depend on which siblings it was packed with (a jobs-dependent
     # runtime choice), and store rows must stay packing-independent.
     # ``phases`` likewise: the packed engine carries no per-lane probe
-    # schedule, so only solo runs (and the lane facade) record a series.
+    # schedule, so only solo runs record a series.
     return TrialOutcome(
         seed=lane_outcome.seed,
         steps=lane_outcome.steps,

@@ -156,56 +156,20 @@ class WeightedMultisetSimulator(MultisetSimulator):
                 table.append(weight_of.get(self._output_for(missing), 1.0))
         return table[sid]
 
-    def step(self) -> tuple[int, int, int, int]:
-        """One *accepted* interaction; proposals are thinned in place."""
-        fenwick = self._fenwick
+    def _propose(self) -> tuple[int, int]:
+        """The next *accepted* proposal; rejected ones are thinned away
+        and are not chain steps."""
+        propose = super()._propose
         rng = self._rng
         inv_wmax2 = self._inv_wmax2
         while True:
-            cursor = self._cursor
-            if cursor >= len(self._first_draws):
-                self._refill_draws()
-                cursor = 0
-            self._cursor = cursor + 1
-            pre0 = fenwick.find(self._first_draws[cursor])
-            fenwick.add(pre0, -1)
-            pre1 = fenwick.find(self._second_draws[cursor])
+            pre0, pre1 = propose()
             accept = (
                 self._weight_for(pre0) * self._weight_for(pre1) * inv_wmax2
             )
             if accept >= 1.0 or rng.random() < accept:
-                break
-            fenwick.add(pre0, 1)  # rejected proposal: not a chain step
-        post0, post1 = self.cache.apply(pre0, pre1)
-        self.steps += 1
-        if post0 == pre0 and post1 == pre1:
-            self.null_steps += 1
-            fenwick.add(pre0, 1)
-            return pre0, pre1, post0, post1
-        fenwick.add(pre1, -1)
-        fenwick.add(post0, 1)
-        fenwick.add(post1, 1)
-        counts = self._counts
-        for sid in (pre0, pre1):
-            remaining = counts[sid] - 1
-            if remaining:
-                counts[sid] = remaining
-            else:
-                del counts[sid]
-        counts[post0] = counts.get(post0, 0) + 1
-        counts[post1] = counts.get(post1, 0) + 1
-        output_counts = self.output_counts
-        output_for = self._output_for
-        for pre in (pre0, pre1):
-            symbol = output_for(pre)
-            remaining = output_counts[symbol] - 1
-            if remaining:
-                output_counts[symbol] = remaining
-            else:
-                del output_counts[symbol]
-        output_counts[output_for(post0)] += 1
-        output_counts[output_for(post1)] += 1
-        return pre0, pre1, post0, post1
+                return pre0, pre1
+            self._fenwick.add(pre0, 1)  # undo the initiator's removal
 
     def telemetry_summary(self) -> dict:
         summary = super().telemetry_summary()
@@ -241,9 +205,7 @@ class _WeightedCountsMixin:
                 table[sid] = weight_of.get(outputs[sid], 1.0)
             self._weights_known = known
 
-    def _null_skip(
-        self, budget: int, leader_target: int | None
-    ) -> tuple[int, bool] | None:
+    def _null_skip(self, budget: int) -> int | None:
         """Weighted-chain analogue of the geometric null fast path.
 
         A chain step's ordered state pair ``(s, t)`` has probability
@@ -269,7 +231,7 @@ class _WeightedCountsMixin:
         if not active.any():
             self.steps += budget
             self.stats.null_skipped_steps += budget
-            return budget, False
+            return budget
         weight_table = self._weight_of_id
         mass = counts.astype(np.float64) * weight_table[:known]
         total_mass = float(mass.sum())
@@ -291,7 +253,7 @@ class _WeightedCountsMixin:
         if skip > budget:
             self.steps += budget
             self.stats.null_skipped_steps += budget
-            return budget, False
+            return budget
         cumulative = np.cumsum(weights)
         ticket = float(self._rng.random()) * active_weight
         chosen = min(
@@ -311,10 +273,7 @@ class _WeightedCountsMixin:
             np.array([post0]),
             np.array([post1]),
         )
-        reached = (
-            leader_target is not None and self.leader_count == leader_target
-        )
-        return skip, reached
+        return skip
 
     def telemetry_summary(self) -> dict:
         summary = super().telemetry_summary()
@@ -338,9 +297,7 @@ class WeightedBatchSimulator(_WeightedCountsMixin, BatchSimulator):
         self._init_weights(weights)
         super().__init__(protocol, n, seed=seed, **kwargs)
 
-    def _advance_block(
-        self, budget: int, leader_target: int | None
-    ) -> tuple[int, bool]:
+    def _advance_block(self, budget: int, leader_target: int | None) -> int:
         """One thinned birthday block of at most ``budget`` chain steps.
 
         The uniform prefix (every agent distinct) is proposed exactly as
@@ -414,7 +371,7 @@ class WeightedBatchSimulator(_WeightedCountsMixin, BatchSimulator):
             np.count_nonzero((post0 != block_pre0) | (post1 != block_pre1))
         )
         if reached:
-            return use, True
+            return use
         applied = use
         if collision_flat >= 0 and not budget_cut and applied < budget:
             # Current state of every proposed agent: post for accepted
@@ -439,10 +396,10 @@ class WeightedBatchSimulator(_WeightedCountsMixin, BatchSimulator):
                 and leader_target is not None
                 and self.leader_count == leader_target
             ):
-                return applied, True
+                return applied
         if active == 0 and applied >= 16:
             self._null_mode = True
-        return applied, False
+        return applied
 
     def _thinned_collision_step(
         self,
@@ -509,9 +466,7 @@ class WeightedSuperBatchSimulator(_WeightedCountsMixin, SuperBatchSimulator):
         self._init_weights(weights)
         super().__init__(protocol, n, seed=seed, **kwargs)
 
-    def _advance_block(
-        self, budget: int, leader_target: int | None
-    ) -> tuple[int, bool]:
+    def _advance_block(self, budget: int, leader_target: int | None) -> int:
         """One thinned collision-free run plus its thinned collision.
 
         Proposals within a run involve all-distinct agents, so each of a
@@ -594,7 +549,7 @@ class WeightedSuperBatchSimulator(_WeightedCountsMixin, SuperBatchSimulator):
                         stats.blocks += 1
                         stats.block_steps += steps
                         stats.truncated_runs += 1
-                        return steps, True
+                        return steps
                 with profile.stage("commit"):
                     touched_accepted = self._commit_weighted(
                         run_pre0, run_pre1, post0, post1, run_weight
@@ -634,10 +589,10 @@ class WeightedSuperBatchSimulator(_WeightedCountsMixin, SuperBatchSimulator):
                 and leader_target is not None
                 and self.leader_count == leader_target
             ):
-                return applied, True
+                return applied
         if active == 0 and applied >= 16:
             self._null_mode = True
-        return applied, False
+        return applied
 
     def _thinned_replay_collision(
         self, touched_count: int, touched: np.ndarray

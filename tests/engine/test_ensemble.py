@@ -250,19 +250,28 @@ class TestEnsembleDistributions:
         )
 
 
-class TestSingleLaneFacade:
-    def test_build_simulator_ensemble_runs_to_stabilization(self):
+class TestSingleTrialEnsembleIsMultiset:
+    """``build_simulator(engine="ensemble")`` builds the solo multiset
+    engine: one lane is a multiset run, as ``trial_specs`` resolves it."""
+
+    @pytest.mark.parametrize(
+        "protocol,n,seed", [("angluin", 64, 3), ("pll", 256, 0), ("pll", 1024, 5)]
+    )
+    def test_same_trial_as_engine_multiset(self, protocol, n, seed):
         from repro.orchestration.pool import build_simulator
+        from repro.orchestration.registry import build_protocol
 
-        sim = build_simulator(AngluinProtocol(), 64, seed=3, engine="ensemble")
-        steps = sim.run_until_stabilized()
-        solo = MultisetSimulator(AngluinProtocol(), 64, seed=3)
-        assert steps == solo.run_until_stabilized()
-        assert sim.leader_count == 1
+        sim, solo = (
+            build_simulator(build_protocol(protocol, n), n, seed, engine=engine)
+            for engine in ("ensemble", "multiset")
+        )
+        assert type(sim) is type(solo)
+        assert sim.run_until_stabilized() == solo.run_until_stabilized()
+        assert sim.leader_count == solo.leader_count == 1
+        assert sim.phases_json() == solo.phases_json()
         assert sim.distinct_states_seen() == solo.distinct_states_seen()
-        assert "n=64" in sim.describe()
 
-    def test_facade_budget_error(self):
+    def test_budget_error(self):
         from repro.orchestration.pool import build_simulator
 
         sim = build_simulator(AngluinProtocol(), 64, seed=3, engine="ensemble")

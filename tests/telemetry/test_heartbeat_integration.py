@@ -39,10 +39,11 @@ def run_with_event_stream(
     "engine,protocol,n,seed",
     [
         # (n, seed) is chosen per engine so the run crosses the engine's
-        # beat-poll cadence (2^14 steps for scalar loops, 2^16-step chunks
-        # for the ensemble lane facade) at least three times before
-        # stabilizing; convergence time varies widely by seed, so these
-        # seeds pin known-long runs.
+        # beat-poll cadence (poll_mask + 1 steps on the per-interaction
+        # engines, every block on batch and superbatch) at least three
+        # times before stabilizing; convergence time varies widely by
+        # seed, so these seeds pin known-long runs.  "ensemble" builds
+        # the solo multiset engine.
         ("agent", "pll", 1024, 1),
         ("multiset", "pll", 1024, 0),
         ("batch", "pll", 512, 0),
