@@ -5,7 +5,8 @@ these measure the claims specific to :class:`repro.engine.batch.
 BatchSimulator` — that Theta(sqrt(n))-interaction vectorized blocks beat
 the per-interaction engines once ``n`` is large, and that null-dominated
 phases cost O(1) per *block* rather than per interaction.  The
-machine-readable cross-engine comparison lives in ``report.py`` /
+machine-readable cross-engine comparison is ``repro bench``
+(``src/repro/bench/report.py``, schema v9), which writes
 ``BENCH_engine.json``.
 """
 

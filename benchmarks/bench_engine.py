@@ -5,8 +5,8 @@ measuring *our* code's speed rather than regenerating a paper artifact;
 they back the engineering claims of DESIGN.md's "Choosing an engine"
 guide (interned-int hot loop, exact transition memoization, n-independent
 multiset step cost).  The scriptable cross-engine comparison — the one CI
-runs and records — is ``report.py``, which writes ``BENCH_engine.json``
-at the repository root.
+runs and records — is ``repro bench`` (``src/repro/bench/report.py``,
+schema v9), which writes ``BENCH_engine.json`` at the repository root.
 """
 
 from repro.core.pll import PLLProtocol

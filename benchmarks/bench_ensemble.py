@@ -1,19 +1,19 @@
-"""Ensemble-engine micro-benchmarks: across-trial lane throughput.
+"""Ensemble-engine micro-benchmarks: packed-cell lane throughput.
 
 Companions to ``bench_batch.py``: where the batch engine vectorizes
 *within* one trial, :class:`repro.engine.ensemble.EnsembleSimulator`
-vectorizes *across* trials — the regime campaigns actually spend their
-time in (many trials at small-to-mid ``n``, below the batch crossover).
-The machine-readable trials-per-second comparison against the
-multiprocessing pool lives in ``report.py`` / ``BENCH_engine.json``
-(schema v2, ``trials`` section); these targets isolate the engine-level
+packs a cell's trials into sorted-slot lanes over one shared transition
+cache — the regime campaigns actually spend their time in (many trials
+at small-to-mid ``n``, below the batch crossover).  The machine-readable
+trials-per-second comparison against serial solo runs and the
+multiprocessing pool is ``repro bench`` (``src/repro/bench/report.py``,
+schema v9, ``trials`` section); these targets isolate the engine-level
 pieces.
 """
 
 from repro.core.pll import PLLProtocol
 from repro.engine.ensemble import EnsembleSimulator, SlotLane
 from repro.engine.multiset import MultisetSimulator
-from repro.protocols.angluin import AngluinProtocol
 
 N = 1024
 LANES = 32
@@ -31,41 +31,9 @@ def test_ensemble_pll_cell_to_stabilization(benchmark):
     assert benchmark(run) > 0
 
 
-def test_ensemble_lockstep_sweeps(benchmark):
-    """Pure vectorized path: no detachment, fixed step budget per lane."""
-
-    def run():
-        sim = EnsembleSimulator(
-            PLLProtocol.for_population(N), N, list(range(LANES)),
-            detach_lanes=0,
-        )
-        sim.run(2000)
-        return sim.sweeps
-
-    assert benchmark(run) > 0
-
-
-def test_ensemble_null_lookahead_on_angluin(benchmark):
-    """~94% of Angluin interactions are null: lookahead must amortize
-    them, committing many interactions per sweep."""
-
-    def run():
-        sim = EnsembleSimulator(
-            AngluinProtocol(), N, list(range(LANES)), detach_lanes=0
-        )
-        sim.run(20_000)
-        return sim.sweeps
-
-    sweeps = benchmark(run)
-    # 20k interactions per lane in far fewer sweeps: the adaptive window
-    # is doing its job (a collapse to ~20k sweeps is a regression even
-    # if wall-clock drifts with hardware).
-    assert sweeps < 10_000
-
-
-def test_slot_lane_straggler_throughput(benchmark):
-    """The scalar continuation stragglers detach into: the sorted-slot
-    loop must comfortably beat the Fenwick multiset loop it replays."""
+def test_slot_lane_throughput(benchmark):
+    """The loop every lane runs: the sorted-slot chain must comfortably
+    beat the Fenwick multiset loop it replays."""
 
     def run():
         lane = SlotLane(PLLProtocol.for_population(N), N, seed=0)

@@ -10,8 +10,8 @@ Every report carries all of these sections under the one schema
   for every engine over a grid of protocols and population sizes, on
   both transition paths (kernel and cached) where a protocol compiles
   a kernel;
-* ``trials``: campaign-level trials/sec of the across-trial ensemble
-  engine against serial solo runs and the multiprocessing pool;
+* ``trials``: campaign-level trials/sec of the packed ensemble engine
+  against serial solo runs and the multiprocessing pool;
 * ``kernel``: compiled-kernel vs cached-delta transition resolution on
   the PLL n=1024 cell;
 * ``telemetry``, ``faults``, ``schedulers``: the cost of the telemetry
@@ -194,7 +194,7 @@ def measure_trials_cell(
     ``--jobs`` buys), the pool running the historical agent engine
     (context only: a different chain — skipped in quick/CI runs where
     it just burns minutes), and the ensemble engine packing the
-    multiset specs into vectorized lanes.  The cell itself is never
+    multiset specs into lanes over one shared transition cache.  The cell itself is never
     reduced in quick mode: the CI gate is defined on the 64-trial PLL
     cell at n=4096.
 

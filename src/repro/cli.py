@@ -62,7 +62,7 @@ from repro.orchestration.spec import (
     TrialOutcome,
 )
 
-#: CLI engine choices: the concrete engines, the across-trial ensemble
+#: CLI engine choices: the concrete engines, the packed ensemble
 #: strategy, and per-``(n, trials)`` resolution.
 ENGINE_CHOICES = (*ENGINES, ENSEMBLE_ENGINE, AUTO_ENGINE)
 
@@ -128,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "override the engine for declarative trial batches ('ensemble' "
-            "packs same-cell trials into vectorized lanes; 'auto' picks "
-            "per population size)"
+            "packs same-cell trials into lanes sharing one cache; 'auto' "
+            "picks per population size)"
         ),
     )
     run_parser.add_argument(
@@ -652,11 +652,11 @@ def _command_store_gc(args: argparse.Namespace) -> int:
     with open_store(args.store, readonly=True) as store:
         completed = store.completed_hashes()
         swept_leases = 0
-        expired_sweeper = getattr(store, "leases_path", None)
-        if expired_sweeper is not None and expired_sweeper.exists():
+        leases_path = getattr(store, "leases_path", None)
+        if leases_path is not None and leases_path.exists():
             from repro.orchestration.backend.leases import LeaseManager
 
-            manager = LeaseManager(expired_sweeper, worker="gc")
+            manager = LeaseManager(leases_path, worker="gc")
             try:
                 swept_leases = manager.sweep_expired()
             finally:

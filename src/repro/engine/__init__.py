@@ -16,11 +16,11 @@ detectors):
   agents replayed on counts), so per-block cost scales with the number
   of distinct states rather than ``sqrt(n)``; the engine for
   ``n >= 10^7`` sweeps.
-* :class:`~repro.engine.ensemble.EnsembleSimulator` — across-trial
-  vectorization: M independent same-protocol trials advance in lockstep
-  NumPy sweeps, each lane bit-identical to a solo multiset run; the
-  engine for multi-trial campaign cells.  It has no single-trial form:
-  one ``ensemble`` trial is a solo multiset run.
+* :class:`~repro.engine.ensemble.EnsembleSimulator` — packed
+  campaign cells: M same-protocol trials run one after another as
+  sorted-slot lanes over one shared interner and transition cache, each
+  lane bit-identical to a solo multiset run.  It has no single-trial
+  form: one ``ensemble`` trial is a solo multiset run.
 
 The four solo engines stabilize through one driver,
 :func:`repro.engine.convergence.run_until_stabilized` (default budget,

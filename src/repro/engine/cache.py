@@ -17,8 +17,8 @@ Two lookup structures back the memo:
   or via ``REPRO_DENSE_STATE_BOUND``), stored pairs are mirrored into a
   ``(S, S)`` pair-indexed NumPy table.  Scalar lookups then skip dict
   hashing, and :meth:`TransitionCache.apply_block` resolves whole arrays
-  of pre-state pairs with one gather — the form the vectorized engines
-  (batch blocks, ensemble lanes) consume.  The moment the interner grows
+  of pre-state pairs with one gather — the form the block engines
+  (batch, superbatch and their weighted forms) consume.  The moment the interner grows
   past the bound the dense mirror is dropped and everything falls back to
   the dict, so wide-state protocols pay nothing but the bound check.
 

@@ -1,4 +1,4 @@
-"""Exact scalar continuation of one ensemble lane.
+"""One ensemble lane: an exact multiset-chain trial on sorted slots.
 
 A lane is one trial of the multiset chain: the same scheduler draws, the
 same count-ordered inverse-CDF mapping, the same transition memo as a
@@ -12,15 +12,9 @@ one agent between states by rewriting only the block-boundary slots
 between them (PLL's count-up transitions move almost exclusively between
 adjacent ids, so this is 1-2 writes per interaction).
 
-The ensemble uses SlotLanes two ways:
-
-* **straggler finishing** — once few lanes survive, per-sweep NumPy
-  dispatch overhead outweighs vectorization, so remaining lanes detach
-  (:meth:`EnsembleSimulator` hands each its arrays, generator, and
-  unconsumed draw buffers) and run here to stabilization;
-* **wide-state fallback** — when a protocol's interned state space
-  overflows the quadratic pair tables, every lane runs here instead,
-  memoizing transitions in per-lane dicts.
+Every lane of a packed :class:`~repro.engine.ensemble.EnsembleSimulator`
+cell runs here, memoizing transitions in a per-lane dict filled from the
+cell's shared transition cache.
 
 Lane-local state ids are assigned in first-appearance order — exactly the
 order the solo run's interner assigns them — so the sorted-slot order,
@@ -38,14 +32,17 @@ from repro.engine.cache import TransitionCache
 from repro.engine.interner import StateInterner
 from repro.engine.multiset import DRAW_BATCH_SIZE
 from repro.engine.protocol import LEADER, Protocol, State
+from repro.errors import SimulationError
 
 __all__ = ["SlotLane"]
 
 #: Sentinel distinguishing "pair never computed" from a memoized null.
 _UNSEEN = object()
 
-#: Stride packing (local0, local1) pairs into one int key; local ids are
-#: dense first-sight indices, far below this for every protocol here.
+#: Stride packing (local0, local1) pairs into one int key.  Keys stay
+#: unique only while every local id is below it, so a lane refuses to
+#: intern more states than this (fast-nonce with ``bits=48`` interns
+#: about 39 states per agent, so it gets there near n = 27k).
 _PAIR_STRIDE = 1 << 20
 
 
@@ -90,49 +87,6 @@ class SlotLane:
         # faster than tuples in this loop's hottest line.
         self._pairs: dict[int, tuple[int, int, int] | None] = {}
 
-    # -- construction from ensemble rows --------------------------------
-
-    @classmethod
-    def from_ensemble_row(
-        cls,
-        protocol: Protocol,
-        n: int,
-        seed: int | None,
-        cache: TransitionCache,
-        target: int,
-        slots: list[int],
-        prefix: list[int],
-        local_globals: list[int],
-        lead: int,
-        steps: int,
-        rng: np.random.Generator,
-        d1: list[int],
-        d2: list[int],
-        cursor: int,
-    ) -> "SlotLane":
-        """Continue a lane detached mid-run from the vectorized ensemble."""
-        lane = cls.__new__(cls)
-        lane.protocol = protocol
-        lane.n = n
-        lane.seed = seed
-        lane.target = target
-        lane.cache = cache
-        lane._interner = cache._interner
-        lane.local_states = list(local_globals)
-        lane._local_of_global = {
-            g: i for i, g in enumerate(local_globals)
-        }
-        lane.slots = slots
-        lane.prefix = prefix
-        lane.lead = lead
-        lane.steps = steps
-        lane.rng = rng
-        lane._d1 = d1
-        lane._d2 = d2
-        lane._cursor = cursor
-        lane._pairs = {}
-        return lane
-
     # -- bookkeeping -----------------------------------------------------
 
     def _local_id(self, global_id: int) -> int:
@@ -140,6 +94,11 @@ class SlotLane:
         local = self._local_of_global.get(global_id)
         if local is None:
             local = len(self.local_states)
+            if local >= _PAIR_STRIDE:
+                raise SimulationError(
+                    f"lane reached {local} distinct states; its packed "
+                    f"pair key supports at most {_PAIR_STRIDE}"
+                )
             self._local_of_global[global_id] = local
             self.local_states.append(global_id)
             self.prefix.append(self.n)

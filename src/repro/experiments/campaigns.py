@@ -211,7 +211,7 @@ def campaign_for(
     ``engine="auto"`` (the default) resolves per population size inside
     :func:`~repro.orchestration.spec.trial_specs`: large-``n`` grid
     points run on the batch engine, the rest name the multiset chain —
-    which the pool packs into across-trial ensemble lanes whenever a
+    which the pool packs into ensemble lanes whenever a
     cell has enough pending trials.  (PR 3 moved the sub-crossover
     default from the agent engine to multiset to enable that packing;
     stores filled under the old default re-execute on first use.)

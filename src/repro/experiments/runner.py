@@ -69,7 +69,7 @@ def stabilization_trials(
     crossover resolves to the multiset chain
     (:func:`~repro.orchestration.spec.default_engine` — deliberately a
     function of ``n`` alone, so hashes never depend on campaign depth).
-    Multi-trial named cells then pack into across-trial ensemble lanes
+    Multi-trial named cells then pack into ensemble lanes
     inside the pool; factory callables cannot be packed (they run one
     simulator at a time) and execute their multiset trials solo.
 

@@ -33,7 +33,6 @@ from typing import Callable, Sequence
 
 from repro.engine.batch import BatchSimulator
 from repro.engine.ensemble import EnsembleSimulator
-from repro.engine.ensemble.simulator import DEFAULT_DETACH_LANES
 from repro.engine.kernel import compiled_kernel_for, kernels_enabled
 from repro.engine.kernel.multiset import KernelMultisetSimulator
 from repro.engine.multiset import MultisetSimulator
@@ -67,18 +66,12 @@ from repro.telemetry.core import trial_telemetry_json
 from repro.telemetry.trace import make_tracer
 
 __all__ = [
-    "ENSEMBLE_MAX_LANES",
     "RunReport",
     "build_simulator",
     "execute_trial",
     "measure_trial",
     "run_specs",
 ]
-
-#: Largest lane count packed into one :class:`EnsembleSimulator`; bigger
-#: cells run as consecutive full-width ensembles (bounds the draw-buffer
-#: working set to ~64 MiB at the default batch size).
-ENSEMBLE_MAX_LANES = 256
 
 #: Progress callback: ``progress(done, total, outcome)`` after every trial
 #: (cached trials are reported up front as a single batch with outcome
@@ -433,7 +426,7 @@ def _run_ensemble_task(
     lanes simply re-run solo inside the same task, each under its own
     timeout, and only the genuinely failing seeds come back as
     failures.  The chunk-level timeout scales with the lane count: a
-    chunk is up to ``len(chunk)`` trials of work sharing sweeps.
+    chunk is ``len(chunk)`` trials run one after another.
     """
     results: list[tuple[int, TrialOutcome]] = []
     failures: list[Failure] = []
@@ -538,14 +531,13 @@ def _ensemble_groups(
     A group shares everything but the seed — one protocol instance, one
     population size, one budget — which is exactly what
     :class:`EnsembleSimulator` lanes require.  Groups below ``min_lanes``
-    stay with the solo path (vector overhead would not amortize).
+    stay with the solo path (too few lanes to share the cell's cache).
     """
     grouped: dict[tuple, list[tuple[int, TrialSpec]]] = {}
     for index, spec in pending:
-        # Faulted trials never pack: lanes share one sweep schedule, and
-        # a mid-run count rewrite on one lane has no packed equivalent.
-        # Scheduled trials likewise — per-lane proposal thinning has no
-        # packed equivalent either.
+        # Faulted trials never pack: a lane runs straight to its target,
+        # so a mid-run count rewrite has no packed equivalent.  Scheduled
+        # trials likewise — lanes have no proposal thinning.
         if (
             spec.engine != "multiset"
             or spec.fault_plan is not None
@@ -557,28 +549,18 @@ def _ensemble_groups(
     return [group for group in grouped.values() if len(group) >= min_lanes]
 
 
-#: Preferred minimum lanes per worker-dispatched chunk: twice the
-#: engine's default detach floor, so a shard still has a meaningful
-#: vectorized phase instead of detaching straight to scalar lanes.
-ENSEMBLE_CHUNK_FLOOR = 2 * DEFAULT_DETACH_LANES
-
-
 def _ensemble_chunks(
     group: list[tuple[int, TrialSpec]], jobs: int, min_lanes: int
 ) -> list[list[tuple[int, TrialSpec]]]:
     """Split one cell's group into per-task lane chunks.
 
     With ``jobs`` workers a deep cell must not serialize onto one of
-    them — but sharding too finely defeats the packing: a chunk below
-    the engine's detach floor would run every lane scalar.  So the
-    group splits into at most ``jobs`` chunks of at least
-    :data:`ENSEMBLE_CHUNK_FLOOR` lanes (whole group when smaller),
-    capped at :data:`ENSEMBLE_MAX_LANES` (draw-buffer memory).
-    Chunking never affects results: lanes are packing-independent.
+    them, so the group splits into ``min(jobs, len(group) // min_lanes)``
+    near-equal chunks (at least one).  Chunking never affects results:
+    lanes are packing-independent.
     """
-    floor = max(min_lanes, ENSEMBLE_CHUNK_FLOOR)
-    chunk_count = max(1, min(max(jobs, 1), len(group) // floor))
-    per_chunk = min(-(-len(group) // chunk_count), ENSEMBLE_MAX_LANES)
+    chunk_count = max(1, min(jobs, len(group) // min_lanes))
+    per_chunk = -(-len(group) // chunk_count)
     return [
         group[start : start + per_chunk]
         for start in range(0, len(group), per_chunk)
@@ -623,9 +605,10 @@ def _run_ensemble_chunk(
     last_retired = perf_counter()
 
     def lane_done(lane_outcome) -> None:
-        # Time since the previous lane of this chunk retired: lanes
-        # share sweeps, so this splits the chunk's wall time among its
-        # lanes and the stored durations sum to it (never more).
+        # Time since the previous lane of this chunk finished: lanes run
+        # one after another, so this is the lane's own run plus any
+        # failed lane before it, and the stored durations sum to the
+        # chunk's wall time (never more).
         nonlocal last_retired
         now = perf_counter()
         duration = now - last_retired
@@ -681,10 +664,10 @@ def run_specs(
     budget) are packed ``ensemble_lanes``-or-more at a time into
     :class:`~repro.engine.ensemble.EnsembleSimulator` lanes — an
     optimization that is invisible in results (lanes are bit-identical
-    to solo multiset runs; rows land in the same store slots) but
-    reaches an order of magnitude in throughput on multi-trial campaign
-    cells.  With ``jobs=1`` the lanes run in-process and persist one by
-    one as they retire; with ``jobs>1`` each cell shards into ~``jobs``
+    to solo multiset runs; rows land in the same store slots) and saves
+    per-trial set-up: a cell's lanes share one interner and transition
+    cache.  With ``jobs=1`` the lanes run in-process and persist one by
+    one as they finish; with ``jobs>1`` each cell shards into ~``jobs``
     lane chunks that run as pool tasks alongside the unpackable
     remainder, persisting per completed chunk.  Pass
     ``ensemble_lanes=0``/``None`` to force every trial down the solo

@@ -62,7 +62,7 @@ ENGINES = ("agent", "multiset", "batch", "superbatch")
 #: are created, so content hashes always name a concrete engine.
 AUTO_ENGINE = "auto"
 
-#: User-facing engine name for across-trial vectorized execution.  It is
+#: User-facing engine name for packed same-cell execution.  It is
 #: an *execution strategy*, not a spec identity: lanes of the ensemble
 #: engine are bit-identical to solo multiset runs, so specs resolve to
 #: ``engine="multiset"`` (sharing store rows with solo multiset trials in
@@ -71,8 +71,8 @@ AUTO_ENGINE = "auto"
 ENSEMBLE_ENGINE = "ensemble"
 
 #: Smallest pending same-cell trial group the pool packs into ensemble
-#: lanes (below it, per-sweep vector overhead would not amortize and the
-#: solo path runs instead).
+#: lanes (below it, too few lanes share the cell's interner and
+#: transition cache for packing to pay, and the solo path runs instead).
 ENSEMBLE_MIN_TRIALS = 4
 
 #: Population size at which ``auto`` switches to the batch engine: the
@@ -113,10 +113,9 @@ def default_engine(n: int) -> str:
     :data:`SUPERBATCH_ENGINE_MIN_N`, mid-size sweeps through the batch
     engine from :data:`BATCH_ENGINE_MIN_N`, and everything below the
     batch crossover names the multiset chain — where multi-trial cells
-    pack into across-trial ensemble lanes at execution time
-    (:func:`repro.orchestration.pool.run_specs`), which is where
-    campaign throughput comes from, while stragglers and single-trial
-    points run the solo multiset engine.
+    pack into ensemble lanes sharing one transition cache at execution
+    time (:func:`repro.orchestration.pool.run_specs`), while small
+    groups and single-trial points run the solo multiset engine.
 
     The resolution deliberately depends on ``n`` alone — never on the
     trial count — so a given ``(protocol, params, n, seed)`` data point
@@ -362,7 +361,7 @@ def trial_specs(
     always name a concrete engine.  ``engine="ensemble"`` resolves to
     ``"multiset"`` — ensemble lanes are bit-identical to solo multiset
     runs, so the hash (and store row) is the multiset trial's; the pool
-    supplies the across-trial vectorization at execution time.
+    packs same-cell trials into ensemble lanes at execution time.
 
     A non-exchangeable ``fault_plan`` (targeted agents, partitions)
     needs per-agent identity: on the resolved-engine paths (``auto``,

@@ -2,8 +2,8 @@
 
 A :class:`StageProfile` accumulates wall-clock per named engine stage —
 ``sample`` / ``apply`` / ``detect`` / ``commit`` in the block engines,
-``sweep`` / ``retire`` in the ensemble, ``kernel_fill`` for pair-table
-fills — behind the ``REPRO_TELEMETRY`` gate: disabled profiles hand
+``kernel_fill`` for pair-table fills in every kernel-backed engine,
+the ensemble included — behind the ``REPRO_TELEMETRY`` gate: disabled profiles hand
 out a shared no-op span (the :class:`~repro.telemetry.core.PhaseTimer`
 pattern), so the off path pays two method calls per block and reads no
 clock.

@@ -2,7 +2,7 @@
 
 Spans follow the orchestration hierarchy — campaign → cell → trial →
 engine stage (sample/apply/detect/commit in the block engines,
-sweep/retire in the ensemble, pair-table fills in the kernels) — and
+pair-table fills in the kernels) — and
 are emitted as ordinary sink events, one JSON line per *closed* span:
 
 ``{"event": "span", "name": ..., "cat": ..., "span_id": "pid-k",

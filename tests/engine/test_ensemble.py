@@ -1,23 +1,28 @@
-"""Faithfulness and behavior of the across-trial ensemble engine.
+"""Faithfulness and behavior of the packed ensemble engine.
 
 The ensemble's contract is stronger than the batch engine's statistical
 agreement: every lane must be **bit-identical** to a solo
 :class:`MultisetSimulator` run with the same seed — same trajectory, same
-stabilization step, same distinct-state count — through every execution
-path (pure vectorized lockstep, mid-run detachment, pure scalar
-SlotLane).  RNG-stream isolation between lanes falls out of the same
-checks: if any lane read another's draws, its trajectory would diverge
-from the solo run that consumes only its own stream.
+stabilization step, same distinct-state count — although its lanes run
+on sorted slots over a transition cache shared with their siblings.
+RNG-stream isolation between lanes falls out of the same checks: if any
+lane read another's draws, its trajectory would diverge from the solo
+run that consumes only its own stream.
 """
 
 import numpy as np
 import pytest
 
+import repro.engine.ensemble.lane as lane_module
+import repro.engine.ensemble.simulator as simulator_module
 from repro.analysis.stats import ks_critical_value, ks_statistic
 from repro.core.pll import PLLProtocol
 from repro.engine.ensemble import EnsembleSimulator, SlotLane
+from repro.engine.kernel import KernelTransitionCache
 from repro.engine.multiset import MultisetSimulator
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, SimulationError
+from repro.orchestration import pool
+from repro.orchestration.spec import trial_specs
 from repro.protocols.angluin import AngluinProtocol
 
 
@@ -52,48 +57,50 @@ class TestLanesMatchSoloMultiset:
             lambda n: AngluinProtocol(), self.ANGLUIN_N, self.ANGLUIN_SEEDS
         )
 
-    @pytest.mark.parametrize("detach_lanes", [0, 3, 10**9])
-    def test_pll_lanes_bit_identical(self, solo_pll, detach_lanes):
-        # detach_lanes=0: pure vectorized; 3: mixed (stragglers detach);
-        # huge: pure scalar SlotLane path.  All must agree exactly.
-        # detach_work=0 pins the lane-count policy alone.
-        ensemble = EnsembleSimulator(
-            pll(self.PLL_N), self.PLL_N, self.PLL_SEEDS,
-            detach_lanes=detach_lanes, detach_work=0,
-        )
+    @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "delta"])
+    def test_pll_lanes_bit_identical(self, solo_pll, monkeypatch, kernel):
+        # The shared cache is kernel-filled by default; REPRO_KERNEL=0
+        # fills it through Python delta.  Lanes must not notice.
+        monkeypatch.setenv("REPRO_KERNEL", "1" if kernel else "0")
+        ensemble = EnsembleSimulator(pll(self.PLL_N), self.PLL_N, self.PLL_SEEDS)
+        assert isinstance(ensemble.cache, KernelTransitionCache) == kernel
         got = {
             o.seed: (o.steps, o.distinct_states)
             for o in ensemble.run_until_stabilized()
         }
         assert got == solo_pll
 
-    def test_pll_lanes_bit_identical_under_work_policy(self, solo_pll):
-        # The self-tuning policy: PLL commits ~1 interaction per lane per
-        # sweep, so the ensemble detaches itself mid-run.  Outcomes must
-        # not notice.
+    @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "delta"])
+    def test_angluin_lanes_bit_identical(self, solo_angluin, monkeypatch, kernel):
+        monkeypatch.setenv("REPRO_KERNEL", "1" if kernel else "0")
         ensemble = EnsembleSimulator(
-            pll(self.PLL_N), self.PLL_N, self.PLL_SEEDS,
-            detach_lanes=0, detach_work=10**9,
+            AngluinProtocol(), self.ANGLUIN_N, self.ANGLUIN_SEEDS
         )
-        got = {
-            o.seed: (o.steps, o.distinct_states)
-            for o in ensemble.run_until_stabilized()
-        }
-        assert got == solo_pll
-
-    @pytest.mark.parametrize("detach_lanes", [0, 10**9])
-    def test_angluin_lanes_bit_identical(self, solo_angluin, detach_lanes):
-        # Angluin is ~94% null interactions: this exercises the adaptive
-        # lookahead window committing long null runs per sweep.
-        ensemble = EnsembleSimulator(
-            AngluinProtocol(), self.ANGLUIN_N, self.ANGLUIN_SEEDS,
-            detach_lanes=detach_lanes, detach_work=0,
-        )
+        assert isinstance(ensemble.cache, KernelTransitionCache) == kernel
         got = {
             o.seed: (o.steps, o.distinct_states)
             for o in ensemble.run_until_stabilized()
         }
         assert got == solo_angluin
+
+    def test_lanes_are_built_one_at_a_time(self, monkeypatch):
+        # A lane is built only when its turn comes: by the time lane i
+        # is delivered, exactly i + 1 lanes exist, all over one cache.
+        built = []
+
+        class CountingLane(SlotLane):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(kwargs["cache"])
+
+        monkeypatch.setattr(simulator_module, "SlotLane", CountingLane)
+        ensemble = EnsembleSimulator(pll(self.PLL_N), self.PLL_N, [0, 1, 2])
+        seen = []
+        ensemble.run_until_stabilized(
+            on_lane_done=lambda outcome: seen.append((outcome.index, len(built)))
+        )
+        assert seen == [(0, 1), (1, 2), (2, 3)]
+        assert all(cache is ensemble.cache for cache in built)
 
     def test_every_lane_elects_one_leader(self):
         ensemble = EnsembleSimulator(pll(self.PLL_N), self.PLL_N, [0, 1, 2, 3])
@@ -105,27 +112,6 @@ class TestMidRunConfigurations:
     """Checkpoint equality: not just endpoints, whole trajectories."""
 
     N = 128
-
-    def test_lockstep_configurations_match_solo(self):
-        seeds = [0, 1, 2, 3, 4]
-        ensemble = EnsembleSimulator(
-            pll(self.N), self.N, seeds, detach_lanes=0
-        )
-        solos = {
-            seed: MultisetSimulator(pll(self.N), self.N, seed=seed)
-            for seed in seeds
-        }
-        total = 0
-        for stride in (1, 7, 250, 1000):
-            ensemble.run(stride)
-            total += stride
-            for index, seed in enumerate(seeds):
-                solos[seed].run(stride)
-                assert ensemble.lane_steps(index) == total
-                assert (
-                    ensemble.lane_state_counts(index)
-                    == solos[seed].state_counts()
-                ), f"seed {seed} diverged by step {total}"
 
     def test_slot_lane_configurations_match_solo(self):
         lane = SlotLane(pll(self.N), self.N, seed=6)
@@ -163,37 +149,19 @@ class TestBudgetsAndErrors:
         # names the first (lowest-index) offender's seed.
         with pytest.raises(ConvergenceError, match="seed 7"):
             EnsembleSimulator(
-                AngluinProtocol(), 64, [7, 8, 9],
-                detach_lanes=0, detach_work=0,
+                AngluinProtocol(), 64, [7, 8, 9]
             ).run_until_stabilized(max_steps=3)
 
-    def test_vectorized_siblings_within_budget_still_finish(self):
-        # One lane exhausts the budget mid-run; lanes that can still
-        # stabilize inside it must run to completion and be delivered
-        # before the failure raises — the vectorized path preserves the
-        # same work on abort as the scalar path.
-        n = 64
-        solo = solo_outcomes(lambda n: AngluinProtocol(), n, range(6))
-        budget = sorted(steps for steps, _distinct in solo.values())[4]
-        delivered = []
-        with pytest.raises(ConvergenceError):
-            EnsembleSimulator(
-                AngluinProtocol(), n, list(range(6)),
-                detach_lanes=0, detach_work=0,
-            ).run_until_stabilized(
-                max_steps=budget, on_lane_done=delivered.append
-            )
-        assert len(delivered) >= 5  # every lane that fit the budget
-        for outcome in delivered:
-            assert outcome.steps == solo[outcome.seed][0]
-
-    def test_finished_lanes_stream_before_the_error(self):
-        # One lane cannot stabilize in the budget; lanes that already
-        # retired must have been delivered through the callback anyway —
-        # that is what makes an interrupted campaign resumable.
+    def test_siblings_within_budget_still_finish(self):
+        # Some lanes exhaust the budget; every lane that can stabilize
+        # inside it — before or after the first failing lane — must run
+        # to completion and be delivered through the callback before
+        # the failure raises.  That is what makes an interrupted
+        # campaign resumable.
         n = 64
         solo = solo_outcomes(lambda n: AngluinProtocol(), n, range(6))
         budget = sorted(steps for steps, _distinct in solo.values())[3]
+        fits = {seed for seed, (steps, _d) in solo.items() if steps <= budget}
         delivered = []
         with pytest.raises(ConvergenceError):
             EnsembleSimulator(
@@ -201,21 +169,55 @@ class TestBudgetsAndErrors:
             ).run_until_stabilized(
                 max_steps=budget, on_lane_done=delivered.append
             )
-        assert delivered  # the fast lanes made it out
+        assert {outcome.seed for outcome in delivered} == fits
         for outcome in delivered:
             assert outcome.steps == solo[outcome.seed][0]
 
-    def test_rejects_tiny_population(self):
-        from repro.errors import SimulationError
+    def test_lane_refuses_states_past_the_pair_stride(self, monkeypatch):
+        # The lane memo packs (p0, p1) as p0 * stride + p1; past the
+        # stride two pairs would share a key, so the lane must fail
+        # loudly instead of reusing the wrong transition.
+        monkeypatch.setattr(lane_module, "_PAIR_STRIDE", 4)
+        lane = SlotLane(pll(64), 64, seed=0)
+        with pytest.raises(SimulationError, match="at most 4"):
+            lane.run(10_000, stop_at_target=False)
 
+    def test_rejects_tiny_population(self):
         with pytest.raises(SimulationError):
             EnsembleSimulator(AngluinProtocol(), 1, [0])
 
     def test_rejects_empty_lane_list(self):
-        from repro.errors import SimulationError
-
         with pytest.raises(SimulationError):
             EnsembleSimulator(AngluinProtocol(), 8, [])
+
+
+class TestNonKernelBackend:
+    """Packed lanes over the cached-delta transition cache.
+
+    Protocols without a compiled kernel fill the shared cache through
+    Python ``delta``; their solo multiset trials run on the Fenwick
+    engine, so this pins sorted-slot lanes against it.
+    """
+
+    @pytest.mark.parametrize(
+        "protocol,params", [("fast-nonce", {"bits": 48}), ("loose", {})]
+    )
+    def test_packed_cell_equals_solo(self, monkeypatch, protocol, params):
+        built = []
+
+        class CountingEnsemble(EnsembleSimulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(len(self.seeds))
+
+        monkeypatch.setattr(pool, "EnsembleSimulator", CountingEnsemble)
+        specs = trial_specs(
+            protocol, 64, trials=5, engine="multiset", params=params
+        )
+        packed = pool.run_specs(specs, ensemble_lanes=2)
+        solo = pool.run_specs(specs, ensemble_lanes=0)
+        assert built == [5]
+        assert packed.outcomes == solo.outcomes
 
 
 class TestEnsembleDistributions:

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.errors import ConvergenceError
-from repro.orchestration.pool import run_specs
+from repro.orchestration.pool import _ensemble_chunks, run_specs
 from repro.orchestration.spec import trial_specs
 from repro.orchestration.store import TrialStore
 
@@ -58,6 +58,25 @@ class TestPackedEqualsSolo:
         packed = run_specs(specs)
         solo = run_specs(specs, ensemble_lanes=0)
         assert packed.outcomes == solo.outcomes
+
+
+class TestChunking:
+    @pytest.mark.parametrize(
+        "size,jobs,min_lanes,sizes",
+        [
+            (48, 1, 4, [48]),  # one worker: the cell stays one chunk
+            (48, 4, 4, [12, 12, 12, 12]),  # one chunk per worker
+            (9, 4, 4, [5, 4]),  # too shallow for four: len // min_lanes
+            (3, 4, 4, [3]),  # below min_lanes: still one chunk
+        ],
+    )
+    def test_cell_splits_into_min_jobs_and_depth(
+        self, size, jobs, min_lanes, sizes
+    ):
+        group = list(enumerate(cell(size)))
+        chunks = _ensemble_chunks(group, jobs, min_lanes)
+        assert [len(chunk) for chunk in chunks] == sizes
+        assert [item for chunk in chunks for item in chunk] == group
 
 
 class TestLaneDurations:
