@@ -3,8 +3,9 @@
 Companions to ``bench_batch.py``: where the batch engine vectorizes
 *within* one trial, :class:`repro.engine.ensemble.EnsembleSimulator`
 packs a cell's trials into sorted-slot lanes over one shared transition
-cache — the regime campaigns actually spend their time in (many trials
-at small-to-mid ``n``, below the batch crossover).  The machine-readable
+cache, run on the native loop for kernel protocols — the regime
+campaigns actually spend their time in (many trials at small-to-mid
+``n``, below the batch crossover).  The machine-readable
 trials-per-second comparison against serial solo runs and the
 multiprocessing pool is ``repro bench`` (``src/repro/bench/report.py``,
 schema v9, ``trials`` section); these targets isolate the engine-level
@@ -13,6 +14,7 @@ pieces.
 
 from repro.core.pll import PLLProtocol
 from repro.engine.ensemble import EnsembleSimulator, SlotLane
+from repro.engine.ensemble.lane import LaneCell
 from repro.engine.multiset import MultisetSimulator
 
 N = 1024
@@ -32,11 +34,27 @@ def test_ensemble_pll_cell_to_stabilization(benchmark):
 
 
 def test_slot_lane_throughput(benchmark):
-    """The loop every lane runs: the sorted-slot chain must comfortably
-    beat the Fenwick multiset loop it replays."""
+    """The Python loop a lane of a cell without a kernel runs: the
+    sorted-slot chain must comfortably beat the Fenwick multiset loop
+    it replays."""
 
     def run():
         lane = SlotLane(PLLProtocol.for_population(N), N, seed=0)
+        lane.run(20_000, stop_at_target=False)
+        return lane.steps
+
+    assert benchmark(run) == 20_000
+
+
+def test_native_slot_lane_throughput(benchmark):
+    """The same lane on the native loop, as a packed cell runs it: the
+    first lane of a fresh cell, so every pair resolution still returns
+    to Python."""
+
+    def run():
+        protocol = PLLProtocol.for_population(N)
+        lane = SlotLane(protocol, N, seed=0, cell=LaneCell(protocol, N))
+        assert lane.cell.loop == "native"
         lane.run(20_000, stop_at_target=False)
         return lane.steps
 

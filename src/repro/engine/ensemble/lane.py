@@ -3,38 +3,55 @@
 A lane is one trial of the multiset chain: the same scheduler draws, the
 same count-ordered inverse-CDF mapping, the same transition memo as a
 solo :class:`~repro.engine.multiset.MultisetSimulator` with that seed.
-:class:`SlotLane` advances a lane one interaction at a time in plain
-Python — but on the **sorted slot array** representation rather than a
-Fenwick tree: ``slots`` holds every agent's (lane-local) state id in
-sorted order, so the initiator lookup is ``slots[ticket]`` — O(1) where
-the Fenwick inverse CDF pays O(log k) — and an applied transition moves
-one agent between states by rewriting only the block-boundary slots
-between them (PLL's count-up transitions move almost exclusively between
-adjacent ids, so this is 1-2 writes per interaction).
+:class:`SlotLane` advances a lane on the **sorted slot array**
+representation rather than a Fenwick tree: ``slots`` holds every
+agent's (lane-local) state id in sorted order, so the initiator lookup
+is ``slots[ticket]`` — O(1) where the Fenwick inverse CDF pays
+O(log k) — and an applied transition moves one agent between states by
+rewriting only the block-boundary slots between them (PLL's count-up
+transitions move almost exclusively between adjacent ids, so this is
+1-2 writes per interaction).
 
-Every lane of a packed :class:`~repro.engine.ensemble.EnsembleSimulator`
-cell runs here, memoizing transitions in a per-lane dict filled from the
-cell's shared transition cache.
+Lanes of a packed :class:`~repro.engine.ensemble.EnsembleSimulator`
+cell share a :class:`LaneCell`: the cell's transition cache, leader
+marks per global state id and, for kernel protocols, the buffers of the
+native loop (:mod:`repro.engine.native`).  A native lane runs in C and
+resolves pairs its siblings already filled straight from the cache's
+global id-pair tables; control comes back to Python only for a pair
+the cell has never resolved, a draw refill, the target, the budget, or
+table growth.  Lanes of cells without a kernel and lanes built on their
+own run the Python loop, memoizing transitions in a per-lane dict.  A
+native lane that would pass :data:`KERNEL_PAIR_BOUND` local states
+raises :class:`~repro.errors.SimulationError`, as a Python lane does
+past its pair-key stride; the campaign pool reruns such a lane solo.
 
 Lane-local state ids are assigned in first-appearance order — exactly the
 order the solo run's interner assigns them — so the sorted-slot order,
 and therefore every ticket-to-state mapping, matches the solo run
-bit-for-bit.  ``tests/engine/test_ensemble.py`` pins this equivalence.
+bit-for-bit on either loop.  ``tests/engine/test_ensemble.py`` pins
+this equivalence.
 """
 
 from __future__ import annotations
 
+import ctypes
 from collections import Counter
 
 import numpy as np
 
+from repro.engine import native
 from repro.engine.cache import TransitionCache
 from repro.engine.interner import StateInterner
+from repro.engine.kernel import (
+    KERNEL_PAIR_BOUND,
+    KernelTransitionCache,
+    make_transition_cache,
+)
 from repro.engine.multiset import DRAW_BATCH_SIZE
 from repro.engine.protocol import LEADER, Protocol, State
 from repro.errors import SimulationError
 
-__all__ = ["SlotLane"]
+__all__ = ["LaneCell", "SlotLane"]
 
 #: Sentinel distinguishing "pair never computed" from a memoized null.
 _UNSEEN = object()
@@ -45,9 +62,217 @@ _UNSEEN = object()
 #: about 39 states per agent, so it gets there near n = 27k).
 _PAIR_STRIDE = 1 << 20
 
+#: Width of a fresh cell's local pair tables; they double as lanes
+#: intern more states, up to :data:`KERNEL_PAIR_BOUND`.
+_LOCAL_CAP = 64
+
+
+def _pointer(array: np.ndarray) -> int:
+    return array.ctypes.data
+
+
+class _NativeBuffers:
+    """The native loop's state for one cell, reused lane after lane.
+
+    Holds every array ``slot_run`` reads or writes, and the
+    :class:`~repro.engine.native.SlotLaneState` that points at them.
+    One lane owns the buffers at a time; claiming them for the next
+    lane clears only what the previous one used.  The buffers hold no
+    reference to their cell or lane: without cycles, a finished cell's
+    tables (and its cache's) are freed at once, not at the next
+    garbage collection.
+    """
+
+    def __init__(self, library, n: int) -> None:
+        self.run = library.slot_run
+        self.store = library.slot_store
+        self.state = native.SlotLaneState()
+        self.ref = ctypes.byref(self.state)
+        #: Bumped by every claim; a lane owns the buffers while its
+        #: claim's generation is current.
+        self.generation = 0
+        self.state.n = n
+        self.slots = np.zeros(n, dtype=np.int32)
+        self.state.slots = _pointer(self.slots)
+        self._allocate_local(_LOCAL_CAP)
+        self.local_of = np.full(0, -1, dtype=np.int32)
+        self.gmark = np.zeros(0, dtype=np.int8)
+        self._marked = 0
+        self._gtable: np.ndarray | None = None
+
+    def _allocate_local(self, cap: int) -> None:
+        """Local tables and per-local arrays of width ``cap``, keeping
+        the region the current lane uses."""
+        state = self.state
+        used = state.locals
+        post0 = np.full(cap * cap, -1, dtype=np.int32)
+        post1 = np.full(cap * cap, -1, dtype=np.int32)
+        prefix = np.zeros(cap, dtype=np.int32)
+        mark = np.zeros(cap, dtype=np.int8)
+        global_of = np.zeros(cap, dtype=np.int32)
+        if used:
+            old = state.cap
+            for new, current in ((post0, self.post0), (post1, self.post1)):
+                new.reshape(cap, cap)[:used, :used] = current.reshape(
+                    old, old
+                )[:used, :used]
+            prefix[:used] = self.prefix[:used]
+            mark[:used] = self.mark[:used]
+            global_of[:used] = self.global_of[:used]
+        self.post0, self.post1 = post0, post1
+        self.prefix, self.mark, self.global_of = prefix, mark, global_of
+        state.post0, state.post1 = _pointer(post0), _pointer(post1)
+        state.prefix, state.mark = _pointer(prefix), _pointer(mark)
+        state.global_of = _pointer(global_of)
+        state.cap = cap
+        state.limit = min(cap, KERNEL_PAIR_BOUND)
+
+    def grow(self) -> None:
+        """Widen the local tables; past the bound, raise."""
+        if self.state.limit >= KERNEL_PAIR_BOUND:
+            raise SimulationError(
+                f"lane reached {self.state.locals} distinct states; the "
+                f"native loop's pair tables hold at most {KERNEL_PAIR_BOUND}"
+            )
+        self._allocate_local(2 * self.state.cap)
+
+    def sync_globals(self, cell: "LaneCell") -> None:
+        """Cover every global id the cell has interned, and rebind the
+        cache's pair tables if it reallocated (or dropped) them."""
+        cache = cell.cache
+        if len(cell.interner) == self._marked and cache._post0 is self._gtable:
+            return
+        cell.sync_marks()
+        known = len(cell.marks)
+        state = self.state
+        if self.gmark.shape[0] < known:
+            width = max(16, 2 * known)
+            gmark = np.zeros(width, dtype=np.int8)
+            gmark[:known] = cell.marks
+            local_of = np.full(width, -1, dtype=np.int32)
+            local_of[: self.local_of.shape[0]] = self.local_of
+            self.gmark, self.local_of = gmark, local_of
+            state.gmark, state.local_of = _pointer(gmark), _pointer(local_of)
+        else:
+            have = self._marked
+            self.gmark[have:known] = cell.marks[have:known]
+        self._marked = known
+        table = cache._post0
+        if table is not self._gtable:
+            self._gtable = table
+            if table is None:
+                state.gpost0 = state.gpost1 = None
+                state.gcap = 0
+            else:
+                cap = cache._cap
+                for post in (table, cache._post1):
+                    if post.dtype != np.int32 or post.shape != (cap * cap,):
+                        raise SimulationError(
+                            "the cache's pair tables are not flat int32 "
+                            f"{cap} x {cap} arrays"
+                        )
+                state.gpost0 = _pointer(table)
+                state.gpost1 = _pointer(cache._post1)
+                state.gcap = cap
+
+    def claim(self, cell: "LaneCell", initial: int, lead: int) -> int:
+        """Reset the buffers to a fresh lane whose every agent is in
+        global state ``initial``; the claim's generation."""
+        state = self.state
+        used = state.locals
+        if used:
+            cap = state.cap
+            self.post0.reshape(cap, cap)[:used, :used] = -1
+            self.post1.reshape(cap, cap)[:used, :used] = -1
+            self.local_of[self.global_of[:used]] = -1
+        self.slots.fill(0)
+        self.sync_globals(cell)
+        # local id 0 = the initial state, matching the solo interner.
+        self.local_of[initial] = 0
+        self.global_of[0] = initial
+        self.mark[0] = self.gmark[initial]
+        self.prefix[0] = state.n
+        state.locals = 1
+        state.batch = state.cursor = 0
+        state.lead = lead
+        state.hits = 0
+        self.generation += 1
+        return self.generation
+
+
+class LaneCell:
+    """What the lanes of one packed cell share.
+
+    One transition cache (and its interner), the leader mark of every
+    global state id — from the kernel's ``leader`` feature where the
+    protocol compiles one, else from ``protocol.output`` once per id —
+    and, for kernel caches, the native loop's buffers.  The native
+    library is loaded when the first lane is claimed, not before.
+    """
+
+    def __init__(
+        self, protocol: Protocol, n: int, cache: TransitionCache | None = None
+    ) -> None:
+        if cache is None:
+            cache = make_transition_cache(protocol, StateInterner())
+        self.protocol = protocol
+        self.n = n
+        self.cache = cache
+        self.interner: StateInterner = cache._interner
+        #: Leader mark (0/1) per global state id.
+        self.marks: list[int] = []
+        self._native: _NativeBuffers | None = None
+        self._loaded = False
+        #: Native ``slot_run`` calls made by this cell's lanes.
+        self.round_trips = 0
+
+    @property
+    def loop(self) -> str:
+        """``"native"`` once lanes run in C, else ``"python"``."""
+        return "python" if self._native is None else "native"
+
+    def sync_marks(self) -> None:
+        """Extend :attr:`marks` over every interned state."""
+        marks = self.marks
+        have, known = len(marks), len(self.interner)
+        if have >= known:
+            return
+        kernel = getattr(self.cache, "kernel", None)
+        if kernel is not None and kernel.has_feature("leader"):
+            codes = self.cache.id_codes()[have:known]
+            marks.extend(kernel.feature_values("leader", codes).tolist())
+        else:
+            output = self.protocol.output
+            state_of = self.interner.state_of
+            marks.extend(
+                1 if output(state_of(sid)) == LEADER else 0
+                for sid in range(have, known)
+            )
+
+    def claim(
+        self, initial: int, lead: int
+    ) -> tuple[_NativeBuffers | None, int]:
+        """The native buffers reset for a fresh lane, and the claim's
+        generation; ``None`` when the cell's lanes run in Python."""
+        if not self._loaded:
+            self._loaded = True
+            if isinstance(self.cache, KernelTransitionCache):
+                library = native.load_slots()
+                if library is not None:
+                    self._native = _NativeBuffers(library, self.n)
+        if self._native is None:
+            return None, 0
+        return self._native, self._native.claim(self, initial, lead)
+
 
 class SlotLane:
-    """One exact multiset-chain trial on the sorted slot representation."""
+    """One exact multiset-chain trial on the sorted slot representation.
+
+    With a ``cell`` the lane shares that cell's cache and runs the
+    native loop when the cell has one; without, it builds its own cell
+    (over ``cache`` when given) and runs the Python loop — the
+    reference the native loop is tested against.
+    """
 
     def __init__(
         self,
@@ -57,25 +282,23 @@ class SlotLane:
         *,
         cache: TransitionCache | None = None,
         target: int = 1,
+        cell: LaneCell | None = None,
     ) -> None:
         self.protocol = protocol
         self.n = n
         self.seed = seed
         self.target = target
-        if cache is None:
-            from repro.engine.kernel import make_transition_cache
-
-            interner = StateInterner()
-            cache = make_transition_cache(protocol, interner)
-        self.cache = cache
-        self._interner = cache._interner  # shared global id space
+        own = cell is None
+        if own:
+            cell = LaneCell(protocol, n, cache)
+        elif cache is not None and cache is not cell.cache:
+            raise SimulationError("a lane's cache must be its cell's cache")
+        self.cell = cell
+        self.cache = cell.cache
+        self._interner = cell.interner  # shared global id space
         initial_global = self._interner.intern(protocol.initial_state())
-        # local id 0 = the initial state, matching the solo interner.
-        self.local_states = [initial_global]
-        self._local_of_global = {initial_global: 0}
-        self.slots = [0] * n
-        self.prefix = [n]  # inclusive prefix counts per local id
-        self.lead = n if protocol.output(protocol.initial_state()) == LEADER else 0
+        cell.sync_marks()
+        self.lead = n * cell.marks[initial_global]
         self.steps = 0
         self.rng = np.random.default_rng(seed)
         self._d1: list[int] = []
@@ -86,6 +309,17 @@ class SlotLane:
         # Keyed by p0 * _PAIR_STRIDE + p1: int keys hash measurably
         # faster than tuples in this loop's hottest line.
         self._pairs: dict[int, tuple[int, int, int] | None] = {}
+        # On the native loop the configuration lives in the cell's
+        # buffers instead of the lists below.
+        self._native, self._generation = (
+            (None, 0) if own else cell.claim(initial_global, self.lead)
+        )
+        if self._native is None:
+            # local id 0 = the initial state, matching the solo interner.
+            self.local_states = [initial_global]
+            self._local_of_global = {initial_global: 0}
+            self.slots = [0] * n
+            self.prefix = [n]  # inclusive prefix counts per local id
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -111,29 +345,32 @@ class SlotLane:
         q1 = self._local_id(q1g)
         if q0 == p0 and q1 == p1:
             return None
-        output = self.protocol.output
-        state_of = self._interner.state_of
-        delta = 0
-        for q in (q0g, q1g):
-            if output(state_of(q)) == LEADER:
-                delta += 1
-        for p in (globals_[p0], globals_[p1]):
-            if output(state_of(p)) == LEADER:
-                delta -= 1
+        self.cell.sync_marks()
+        marks = self.cell.marks
+        delta = marks[q0g] + marks[q1g] - marks[globals_[p0]] - marks[globals_[p1]]
         return q0, q1, delta
 
     def distinct_states_seen(self) -> int:
         """States this lane's trial has reached (matches the solo interner)."""
+        if self._native is not None:
+            return self._own_buffers().state.locals
         return len(self.local_states)
 
     def state_counts(self) -> Counter[State]:
         """Decoded multiset of states currently present."""
+        if self._native is None:
+            local_states, prefix = self.local_states, self.prefix
+        else:
+            buffers = self._own_buffers()
+            used = buffers.state.locals
+            local_states = buffers.global_of[:used].tolist()
+            prefix = buffers.prefix[:used].tolist()
         state_of = self._interner.state_of
         counts: Counter[State] = Counter()
         previous = 0
-        for local, global_id in enumerate(self.local_states):
-            count = self.prefix[local] - previous
-            previous = self.prefix[local]
+        for local, global_id in enumerate(local_states):
+            count = prefix[local] - previous
+            previous = prefix[local]
             if count:
                 counts[state_of(global_id)] = count
         return counts
@@ -153,12 +390,64 @@ class SlotLane:
         """
         if stop_at_target and self.lead == self.target:
             return 0
+        target = self.target if stop_at_target else None
+        if self._native is not None:
+            return self._run_native(max_steps, target)
+        return self._run_python(max_steps, target)
+
+    def _own_buffers(self) -> _NativeBuffers:
+        buffers = self._native
+        if buffers.generation != self._generation:
+            raise SimulationError(
+                "a later lane of this cell has taken over its native buffers"
+            )
+        return buffers
+
+    def _run_native(self, max_steps: int, target: int | None) -> int:
+        buffers = self._own_buffers()
+        state = buffers.state
+        state.target = -1 if target is None else target
+        run, ref = buffers.run, buffers.ref
+        executed = 0
+        calls = 0
+        while executed < max_steps:
+            status = run(ref, max_steps - executed)
+            calls += 1
+            executed += state.steps
+            if status == native.SLOT_REFILL:
+                self._d1 = self.rng.integers(
+                    0, self.n, size=DRAW_BATCH_SIZE, dtype=np.int64
+                )
+                self._d2 = self.rng.integers(
+                    0, self.n - 1, size=DRAW_BATCH_SIZE, dtype=np.int64
+                )
+                state.d1, state.d2 = _pointer(self._d1), _pointer(self._d2)
+                state.batch = DRAW_BATCH_SIZE
+                state.cursor = 0
+            elif status == native.SLOT_MISS:
+                q0g, q1g = self.cache.apply(state.gpre0, state.gpre1)
+                buffers.sync_globals(self.cell)
+                while not buffers.store(ref, q0g, q1g):
+                    buffers.grow()
+            elif status == native.SLOT_GROW:
+                buffers.grow()
+            else:  # the budget or the target
+                break
+        stats = self.cache.stats
+        stats.hits += state.hits
+        stats.dense_hits += state.hits
+        state.hits = 0
+        self.cell.round_trips += calls
+        self.steps += executed
+        self.lead = state.lead
+        return executed
+
+    def _run_python(self, max_steps: int, target: int | None) -> int:
         n = self.n
         slots = self.slots
         prefix = self.prefix
         pairs = self._pairs
         transition = self._transition
-        target = self.target if stop_at_target else None
         executed = 0
         d1, d2, cursor = self._d1, self._d2, self._cursor
         while executed < max_steps:

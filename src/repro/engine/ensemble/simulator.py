@@ -13,9 +13,11 @@ Lanes run one after another.  What the cell shares is set-up: one
 :class:`~repro.engine.interner.StateInterner` and one transition cache
 (kernel-filled where the protocol compiles), so every lane after the
 first resolves its transitions from entries its siblings already
-computed.  A lane is built only when its turn comes, so a cell holds one
-lane's slot array and draw buffers at a time.  Outcomes never depend on
-packing or lane order; only wall-clock does.
+computed.  For kernel protocols lanes run the native sorted-slot loop,
+which reads those entries without returning to Python.  A lane is built
+only when its turn comes, so a cell holds one lane's slot array and
+draw buffers at a time.  Outcomes never depend on packing, lane order
+or loop; only wall-clock does.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.engine.convergence import default_max_steps
-from repro.engine.ensemble.lane import SlotLane
+from repro.engine.ensemble.lane import LaneCell, SlotLane
 from repro.engine.interner import StateInterner
 from repro.engine.kernel import make_transition_cache
 from repro.engine.protocol import Protocol
@@ -84,6 +86,7 @@ class EnsembleSimulator:
         self._profile = StageProfile(enabled=telemetry_enabled(telemetry))
         if hasattr(self.cache, "profile"):
             self.cache.profile = self._profile
+        self._cell = LaneCell(protocol, n, self.cache)
         #: Monotone total of interactions run by every lane so far.
         self.committed_steps = 0
         #: Lanes that reached the target within their budget.
@@ -154,6 +157,7 @@ class EnsembleSimulator:
                         seed,
                         cache=self.cache,
                         target=self.target,
+                        cell=self._cell,
                     )
                     self._run_lane(lane, max_steps, heartbeat)
                     if lane.lead != self.target:
@@ -192,14 +196,20 @@ class EnsembleSimulator:
     def telemetry_summary(self) -> dict:
         """Ensemble-wide counter summary (aggregate, not per lane).
 
-        Per-lane trial rows never carry this — lane packing is a runtime
-        choice and store rows must stay packing-independent — so these
-        counters feed heartbeats, tests, and ad-hoc profiling only.
+        Per-lane trial rows never carry this — lane packing and the
+        loop (``"native"`` or ``"python"``, which depends on the machine
+        having a C compiler) are runtime choices, and store rows must
+        stay packing- and machine-independent — so these counters feed
+        heartbeats, tests, and ad-hoc profiling only.  ``round_trips``
+        counts the native loop's returns to Python: draw refills, pairs
+        the cell had never resolved, table growth, and lane ends.
         """
         return {
             "engine": "ensemble",
             "lanes": len(self.seeds),
             "committed_steps": self.committed_steps,
             "retired_lanes": self.retired_lanes,
+            "loop": self._cell.loop,
+            "round_trips": self._cell.round_trips,
             "cache": cache_summary(self.cache.stats),
         }

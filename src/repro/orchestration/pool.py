@@ -23,6 +23,7 @@ byte-for-byte the historical behavior.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import signal
 import time
@@ -72,6 +73,8 @@ __all__ = [
     "measure_trial",
     "run_specs",
 ]
+
+_log = logging.getLogger(__name__)
 
 #: Progress callback: ``progress(done, total, outcome)`` after every trial
 #: (cached trials are reported up front as a single batch with outcome
@@ -417,39 +420,58 @@ def _attempt_solo(
 
 
 def _run_ensemble_task(
-    chunk: list[tuple[int, TrialSpec]], timeout: float | None
-) -> tuple[list[tuple[int, TrialOutcome]], list[Failure]]:
+    chunk: list[tuple[int, TrialSpec]],
+    timeout: float | None,
+    record: Callable[[int, TrialOutcome], None],
+    rerun_diverged: bool = True,
+) -> list[Failure]:
     """One ensemble chunk with per-spec failure isolation.
 
-    A lane failure (budget overrun, timeout) aborts the packed run, but
-    lanes are bit-identical to solo multiset runs — so the unretired
-    lanes simply re-run solo inside the same task, each under its own
-    timeout, and only the genuinely failing seeds come back as
-    failures.  The chunk-level timeout scales with the lane count: a
-    chunk is ``len(chunk)`` trials run one after another.
+    Lane outcomes stream into ``record`` as lanes retire.  A lane
+    failure (budget overrun, timeout, a lane-only limit) aborts the
+    packed run, but lanes are bit-identical to solo multiset runs — so
+    the unretired lanes simply re-run solo, each under its own timeout,
+    and only the genuinely failing seeds come back as failures.  With
+    ``rerun_diverged`` false a budget overrun raises at once instead:
+    solo runs of the same seeds would only overrun again.  An error
+    raised by ``record`` itself (the store, a progress callback) is no
+    lane failure and propagates.  The chunk-level timeout scales with
+    the lane count: a chunk is ``len(chunk)`` trials run one after
+    another.
     """
-    results: list[tuple[int, TrialOutcome]] = []
     failures: list[Failure] = []
     retired: set[int] = set()
+    recording = False
 
     def lane_record(index: int, outcome: TrialOutcome) -> None:
+        nonlocal recording
         retired.add(index)
-        results.append((index, outcome))
+        recording = True
+        record(index, outcome)
+        recording = False
 
     try:
         chunk_timeout = None if timeout is None else timeout * len(chunk)
         with _trial_timeout(chunk_timeout):
             _run_ensemble_chunk(chunk, lane_record)
-    except Exception:
-        for index, spec in chunk:
-            if index in retired:
-                continue
+    except Exception as exc:
+        if recording or (
+            isinstance(exc, ConvergenceError) and not rerun_diverged
+        ):
+            raise
+        unretired = [(i, spec) for i, spec in chunk if i not in retired]
+        _log.warning(
+            "rerunning %d packed trials solo after a lane error: %s",
+            len(unretired),
+            _describe_failure(unretired[0][1], exc),
+        )
+        for index, spec in unretired:
             result, failure = _attempt_solo(index, spec, timeout)
             if result is not None:
-                results.append(result)
+                record(*result)
             if failure is not None:
                 failures.append(failure)
-    return results, failures
+    return failures
 
 
 def _execute_task(task):
@@ -472,7 +494,11 @@ def _execute_task(task):
             [failure] if failure is not None else []
         )
     _kind, chunk, timeout = task
-    return _run_ensemble_task(chunk, timeout)
+    results: list[tuple[int, TrialOutcome]] = []
+    failures = _run_ensemble_task(
+        chunk, timeout, lambda index, outcome: results.append((index, outcome))
+    )
+    return results, failures
 
 
 def _worker_init() -> None:
@@ -723,8 +749,10 @@ def run_specs(
             progress(done, total, outcome)
 
     # Captured-failure mode: failures accumulate instead of aborting the
-    # round.  The historical raise-everything path survives untouched
-    # for the default arguments (tier-1 determinism tests pin it).
+    # round.  With the default arguments the first failure raises (tier-1
+    # determinism tests pin it); a packed lane's error first reruns its
+    # chunk's unfinished specs solo, and only a solo failure (or a budget
+    # overrun, which solo would repeat) raises.
     capture = retries > 0 or on_failure == "quarantine"
     failures: list[Failure] = []
 
@@ -748,15 +776,13 @@ def run_specs(
                             record(index, execute_trial(spec))
                 else:
                     _kind, chunk, timeout = task
-                    if capture:
-                        chunk_results, chunk_failures = _run_ensemble_task(
-                            chunk, timeout
-                        )
-                        for index, outcome in chunk_results:
-                            record(index, outcome)
-                        failures.extend(chunk_failures)
-                    else:
-                        _run_ensemble_chunk(chunk, record)
+                    chunk_failures = _run_ensemble_task(
+                        chunk, timeout, record, rerun_diverged=capture
+                    )
+                    if chunk_failures and not capture:
+                        _index, kind, message, steps = min(chunk_failures)
+                        _raise_failure(kind, message, steps)
+                    failures.extend(chunk_failures)
         else:
             # Worker pool: ensemble chunks are pool tasks like any solo
             # trial, so deep cells shard across workers and packed work

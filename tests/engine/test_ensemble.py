@@ -10,6 +10,8 @@ lane read another's draws, its trajectory would diverge from the solo
 run that consumes only its own stream.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,10 @@ import repro.engine.ensemble.lane as lane_module
 import repro.engine.ensemble.simulator as simulator_module
 from repro.analysis.stats import ks_critical_value, ks_statistic
 from repro.core.pll import PLLProtocol
+from repro.engine import native
 from repro.engine.ensemble import EnsembleSimulator, SlotLane
+from repro.engine.ensemble.lane import LaneCell
+from repro.engine.interner import StateInterner
 from repro.engine.kernel import KernelTransitionCache
 from repro.engine.multiset import MultisetSimulator
 from repro.errors import ConvergenceError, SimulationError
@@ -279,3 +284,196 @@ class TestSingleTrialEnsembleIsMultiset:
         sim = build_simulator(AngluinProtocol(), 64, seed=3, engine="ensemble")
         with pytest.raises(ConvergenceError):
             sim.run_until_stabilized(max_steps=2)
+
+
+def native_cell(protocol, n, cache=None):
+    """A cell whose lanes run the native loop (skips without a compiler)."""
+    if native.load_slots() is None:
+        pytest.skip("no C compiler: the native slot loop cannot build")
+    return LaneCell(protocol, n, cache)
+
+
+def solo_counts(protocol, n, seed, chunks):
+    sim = MultisetSimulator(protocol, n, seed=seed)
+    counts = []
+    for chunk in chunks:
+        sim.run(chunk)
+        counts.append(sim.state_counts())
+    return counts
+
+
+PROTOCOLS = {"pll": pll, "angluin": lambda n: AngluinProtocol()}
+
+
+class TestNativeLoop:
+    """Native lane == Python lane == solo ``MultisetSimulator``.
+
+    A cell's lanes run in C against the cell's global pair tables; a
+    lane built on its own runs the Python loop.  Both must reproduce
+    the solo Fenwick chain draw for draw.
+    """
+
+    #: Odd chunk sizes, so chunk ends fall mid draw batch and mid run.
+    CHUNKS = [1, 7, 333, 4099, 16385, 9001]
+
+    @pytest.mark.parametrize("n", [64, 256, 2048])
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_odd_chunks_match_solo(self, name, n):
+        factory = PROTOCOLS[name]
+        cell = native_cell(factory(n), n)
+        for seed in (3, 4):
+            fast = SlotLane(cell.protocol, n, seed, cell=cell)
+            slow = SlotLane(factory(n), n, seed)
+            assert fast._native is not None and slow._native is None
+            expected = solo_counts(factory(n), n, seed, self.CHUNKS)
+            for chunk, counts in zip(self.CHUNKS, expected):
+                assert fast.run(chunk, stop_at_target=False) == chunk
+                assert slow.run(chunk, stop_at_target=False) == chunk
+                assert fast.state_counts() == slow.state_counts() == counts
+                assert fast.lead == slow.lead
+            assert fast.distinct_states_seen() == slow.distinct_states_seen()
+
+    @pytest.mark.parametrize(
+        "name,n,seeds",
+        [
+            ("pll", 64, range(4)),
+            ("pll", 256, range(3)),
+            ("pll", 2048, [1]),
+            ("angluin", 64, range(4)),
+            ("angluin", 256, [0]),
+        ],
+    )
+    def test_stops_at_the_target_like_solo(self, name, n, seeds):
+        factory = PROTOCOLS[name]
+        cell = native_cell(factory(n), n)
+        for seed in seeds:
+            fast = SlotLane(cell.protocol, n, seed, cell=cell)
+            slow = SlotLane(factory(n), n, seed)
+            while fast.lead != 1:
+                fast.run(12_345)
+            while slow.lead != 1:
+                slow.run(12_345)
+            solo = MultisetSimulator(factory(n), n, seed=seed)
+            solo.run_until_stabilized()
+            assert fast.steps == slow.steps == solo.steps
+            assert (
+                fast.distinct_states_seen()
+                == slow.distinct_states_seen()
+                == solo.distinct_states_seen()
+            )
+            assert fast.run(1000) == 0  # already at the target
+
+    def test_lane_refuses_states_past_the_pair_bound(self, monkeypatch):
+        # With the bound at 8 a PLL lane outgrows the native tables
+        # early: it raises, as a Python lane does past its pair stride
+        # (the campaign pool then reruns it solo).
+        monkeypatch.setattr(lane_module, "KERNEL_PAIR_BOUND", 8)
+        n = 256
+        cell = native_cell(pll(n), n)
+        lane = SlotLane(cell.protocol, n, 2, cell=cell)
+        assert lane._native is not None
+        with pytest.raises(SimulationError, match="at most 8"):
+            while lane.lead != 1:
+                lane.run(777)
+
+    def test_cell_without_global_tables(self):
+        # A cache past its pair bound keeps resolved pairs in a dict the
+        # C loop cannot read: every first-sight pair returns to Python.
+        n = 256
+        protocol = pll(n)
+        cache = KernelTransitionCache(protocol, StateInterner(), pair_bound=4)
+        cell = native_cell(protocol, n, cache)
+        seeds = [0, 1, 2]
+        got = {}
+        for seed in seeds:
+            lane = SlotLane(protocol, n, seed, cell=cell)
+            assert lane._native is not None
+            while lane.lead != 1:
+                lane.run(50_000)
+            got[seed] = (lane.steps, lane.distinct_states_seen())
+        assert not cache.dense_enabled
+        assert cache.stats.dense_hits == 0 and cache.stats.hits > 0
+        assert got == solo_outcomes(pll, n, seeds)
+
+    @pytest.mark.parametrize("name,n", [("pll", 256), ("angluin", 64)])
+    def test_loader_unavailable_runs_python(self, monkeypatch, name, n):
+        factory = PROTOCOLS[name]
+        seeds = list(range(5))
+        if native.load_slots() is None:
+            pytest.skip("no C compiler: the native slot loop cannot build")
+        fast = EnsembleSimulator(factory(n), n, seeds)
+        fast_outcomes = fast.run_until_stabilized()
+        monkeypatch.setattr(native, "load_slots", lambda: None)
+        slow = EnsembleSimulator(factory(n), n, seeds)
+        slow_outcomes = slow.run_until_stabilized()
+        assert fast.telemetry_summary()["loop"] == "native"
+        assert slow.telemetry_summary()["loop"] == "python"
+        assert fast_outcomes == slow_outcomes
+        # The C loop's global-table hits reach the cache's counters:
+        # both loops resolve the same pairs the same way.
+        fast_cache = fast.telemetry_summary()["cache"]
+        assert fast_cache == slow.telemetry_summary()["cache"]
+        assert fast_cache["dense_hits"] > 0
+        assert fast.telemetry_summary()["round_trips"] > 0
+        assert slow.telemetry_summary()["round_trips"] == 0
+
+    def test_native_lane_yields_its_buffers_to_the_next(self):
+        n = 64
+        cell = native_cell(pll(n), n)
+        first = SlotLane(cell.protocol, n, 0, cell=cell)
+        first.run(100)
+        SlotLane(cell.protocol, n, 1, cell=cell)
+        with pytest.raises(SimulationError, match="taken over"):
+            first.run(100)
+
+
+class TestNativeBuild:
+    """The loader builds and loads only from a directory, and a file,
+    that no other user can write."""
+
+    @pytest.fixture
+    def dirs(self, tmp_path, monkeypatch):
+        import shutil
+        import tempfile
+
+        compiler = shutil.which("cc") or shutil.which("gcc")
+        if compiler is None:
+            pytest.skip("no C compiler: the native slot loop cannot build")
+        cache, temp = tmp_path / "cache", tmp_path / "tmp"
+        temp.mkdir()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        return compiler, cache / "repro", temp
+
+    def build(self, compiler):
+        import ctypes
+
+        path = native._build(compiler, native._SOURCE.read_bytes(), "key")
+        assert path is not None
+        assert ctypes.CDLL(str(path)).slot_run is not None
+        return path
+
+    def test_planted_temp_library_is_not_loaded(self, dirs):
+        compiler, cache, temp = dirs
+        for shared in (temp / "repro", temp / f"repro-{os.getuid()}"):
+            shared.mkdir(mode=0o777)
+            (shared / "slots-key.so").write_bytes(b"planted")
+        assert self.build(compiler) == cache / "slots-key.so"
+
+    def test_library_others_can_write_is_rebuilt(self, dirs):
+        compiler, cache, _temp = dirs
+        cache.mkdir(parents=True)
+        planted = cache / "slots-key.so"
+        planted.write_bytes(b"planted")
+        planted.chmod(0o666)
+        assert self.build(compiler) == planted
+        assert planted.read_bytes() != b"planted"
+        assert not planted.stat().st_mode & 0o022
+
+    def test_shared_cache_directory_falls_back_to_a_private_one(self, dirs):
+        compiler, cache, temp = dirs
+        cache.mkdir(parents=True)
+        cache.chmod(0o777)
+        path = self.build(compiler)
+        assert path.parent == temp / f"repro-{os.getuid()}"
+        assert path.parent.stat().st_mode & 0o777 == 0o700

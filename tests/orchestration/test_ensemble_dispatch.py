@@ -155,3 +155,69 @@ class TestFailureSemantics:
             with pytest.raises(ConvergenceError, match="seed"):
                 run_specs(specs, store=store, jobs=3)
             assert len(store) == 3
+
+    def test_in_process_lane_error_reruns_the_chunk_solo(self, monkeypatch):
+        # A packed lane can fail where its solo run succeeds.  The
+        # default in-process mode (jobs=1, no retries, no quarantine)
+        # must then rerun the chunk's unfinished specs solo instead of
+        # aborting the campaign; the finished lanes keep their rows.
+        import repro.engine.ensemble.simulator as simulator_module
+        from repro.errors import SimulationError
+
+        specs = trial_specs("pll", 64, trials=4, engine="multiset")
+        broken_seed = specs[2].seed
+        Lane = simulator_module.SlotLane
+
+        class BrokenLane(Lane):
+            def run(self, *args, **kwargs):
+                if self.seed == broken_seed:
+                    raise SimulationError("lane-only failure")
+                return super().run(*args, **kwargs)
+
+        monkeypatch.setattr(simulator_module, "SlotLane", BrokenLane)
+        with TrialStore(":memory:") as store:
+            packed = run_specs(specs, store=store)
+            assert len(store) == 4
+        solo = run_specs(specs, ensemble_lanes=0)
+        assert packed.outcomes == solo.outcomes
+
+    def test_pair_bound_error_reruns_the_chunk_solo(self, monkeypatch):
+        # Past KERNEL_PAIR_BOUND local states a native lane raises; the
+        # pool reruns its chunk solo, so the campaign still completes
+        # with the solo outcomes.
+        import repro.engine.ensemble.lane as lane_module
+
+        monkeypatch.setattr(lane_module, "KERNEL_PAIR_BOUND", 8)
+        specs = trial_specs("pll", 64, trials=4, engine="multiset")
+        packed = run_specs(specs)
+        monkeypatch.undo()
+        assert packed.outcomes == run_specs(specs, ensemble_lanes=0).outcomes
+
+    def test_store_error_on_the_last_lane_raises(self):
+        # An error from persisting a lane's row is no lane failure: it
+        # must surface, never be absorbed by the solo rerun.
+        import sqlite3
+
+        class LockedStore(TrialStore):
+            puts = 0
+
+            def put(self, spec, outcome):
+                LockedStore.puts += 1
+                if LockedStore.puts == 4:
+                    raise sqlite3.OperationalError("database is locked")
+                return super().put(spec, outcome)
+
+        specs = trial_specs("pll", 64, trials=4, engine="multiset")
+        with LockedStore(":memory:") as store:
+            with pytest.raises(sqlite3.OperationalError, match="locked"):
+                run_specs(specs, store=store)
+            assert len(store) == 3
+
+    def test_in_process_packed_chunk_honours_the_trial_timeout(self):
+        # The default raise mode bounds a packed chunk by
+        # ``trial_timeout`` per lane, as the solo path bounds a trial.
+        from repro.errors import TrialTimeoutError
+
+        specs = trial_specs("pll", 512, trials=4, engine="multiset")
+        with pytest.raises(TrialTimeoutError):
+            run_specs(specs, trial_timeout=0.001)
