@@ -10,6 +10,7 @@ schema v9), which writes ``BENCH_engine.json`` at the repository root.
 """
 
 from repro.core.pll import PLLProtocol
+from repro.engine.kernel.multiset import KernelMultisetSimulator
 from repro.engine.multiset import MultisetSimulator
 from repro.engine.simulator import AgentSimulator
 from repro.protocols.angluin import AngluinProtocol
@@ -29,6 +30,30 @@ def test_agent_engine_pll_throughput(benchmark):
 def test_multiset_engine_pll_throughput(benchmark):
     def run():
         sim = MultisetSimulator(PLLProtocol.for_population(1024), 1024, seed=0)
+        sim.run(STEPS)
+        return sim.steps
+
+    assert benchmark(run) == STEPS
+
+
+def test_kernel_multiset_engine_pll_throughput(benchmark):
+    """The solo sorted-slot engine ``multiset`` builds for kernel protocols."""
+
+    def run():
+        sim = KernelMultisetSimulator(PLLProtocol.for_population(1024), 1024, seed=0)
+        sim.run(STEPS)
+        return sim.steps
+
+    assert benchmark(run) == STEPS
+
+
+def test_kernel_multiset_engine_weighted_pll_throughput(benchmark):
+    """The same engine thinning proposals under a weighted schedule."""
+
+    def run():
+        sim = KernelMultisetSimulator(
+            PLLProtocol.for_population(1024), 1024, seed=0, weights={"L": 4.0}
+        )
         sim.run(STEPS)
         return sim.steps
 

@@ -38,6 +38,7 @@ import sys
 import time
 from typing import Sequence
 
+from repro.engine.kernel.multiset import KernelMultisetSimulator
 from repro.errors import ReproError
 from repro.experiments import (
     all_experiments,
@@ -57,9 +58,12 @@ from repro.orchestration import (
 )
 from repro.orchestration.spec import (
     AUTO_ENGINE,
+    BATCH_ENGINE_MIN_N,
     ENGINES,
     ENSEMBLE_ENGINE,
+    SUPERBATCH_ENGINE_MIN_N,
     TrialOutcome,
+    default_engine,
 )
 
 #: CLI engine choices: the concrete engines, the packed ensemble
@@ -473,9 +477,34 @@ def _command_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _engine_line(requested: str, sim) -> str:
+    """Which engine runs a ``simulate`` trial, and what chose it."""
+    line = f"engine: {requested}"
+    if requested == AUTO_ENGINE:
+        resolved = default_engine(sim.n)
+        if resolved == "superbatch":
+            reason = f"n >= SUPERBATCH_ENGINE_MIN_N = {SUPERBATCH_ENGINE_MIN_N}"
+        elif resolved == "batch":
+            reason = f"n >= BATCH_ENGINE_MIN_N = {BATCH_ENGINE_MIN_N}"
+        else:
+            reason = f"n < BATCH_ENGINE_MIN_N = {BATCH_ENGINE_MIN_N}"
+        line += f" -> {resolved} ({reason})"
+    elif requested == ENSEMBLE_ENGINE:
+        line += " -> multiset (one trial is one lane)"
+    if sim.ENGINE_NAME == "multiset":
+        kind = (
+            "sorted-slot kernel"
+            if isinstance(sim, KernelMultisetSimulator)
+            else "Fenwick"
+        )
+        line += f" on the {kind} engine"
+    return line
+
+
 def _command_simulate(protocol_name: str, n: int, seed: int, engine: str) -> int:
     protocol = PROTOCOLS[protocol_name](n)
     sim = make_simulator(protocol, n, seed=seed, engine=engine)
+    print(_engine_line(engine, sim), flush=True)
     steps = sim.run_until_stabilized()
     print(sim.describe())
     print(

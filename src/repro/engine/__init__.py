@@ -31,8 +31,10 @@ Transitions resolve through a per-protocol backend picked by
 :func:`repro.engine.kernel.make_transition_cache`: protocols that opt in
 via ``compile_kernel()`` run on compiled packed-state kernels
 (:mod:`repro.engine.kernel` — no Python ``delta`` on the hot path, and
-``engine="multiset"`` trials upgrade to the kernel-backed sorted-slot
-:class:`~repro.engine.kernel.multiset.KernelMultisetSimulator`); all
+``engine="multiset"`` trials upgrade to
+:class:`~repro.engine.kernel.multiset.KernelMultisetSimulator`, a
+sorted-slot :class:`~repro.engine.ensemble.lane.SlotLane` in a cell of
+its own); all
 others keep the classic interner + memoized-cache path.  The choice is
 trajectory-invisible.  DESIGN.md has the selection guide.
 """

@@ -1,4 +1,4 @@
-"""One ensemble lane: an exact multiset-chain trial on sorted slots.
+"""The sorted-slot multiset chain: one trial as a lane.
 
 A lane is one trial of the multiset chain: the same scheduler draws, the
 same count-ordered inverse-CDF mapping, the same transition memo as a
@@ -12,30 +12,44 @@ rewriting only the block-boundary slots between them (PLL's count-up
 transitions move almost exclusively between adjacent ids, so this is
 1-2 writes per interaction).
 
-Lanes of a packed :class:`~repro.engine.ensemble.EnsembleSimulator`
-cell share a :class:`LaneCell`: the cell's transition cache, leader
-marks per global state id and, for kernel protocols, the buffers of the
-native loop (:mod:`repro.engine.native`).  A native lane runs in C and
-resolves pairs its siblings already filled straight from the cache's
-global id-pair tables; control comes back to Python only for a pair
-the cell has never resolved, a draw refill, the target, the budget, or
-table growth.  Lanes of cells without a kernel and lanes built on their
-own run the Python loop, memoizing transitions in a per-lane dict.  A
-native lane that would pass :data:`KERNEL_PAIR_BOUND` local states
-raises :class:`~repro.errors.SimulationError`, as a Python lane does
-past its pair-key stride; the campaign pool reruns such a lane solo.
+:meth:`SlotLane._run_python` is the one Python sorted-slot loop; it
+memoizes transitions in a per-lane dict.  It runs two kinds of lane.
 
-Lane-local state ids are assigned in first-appearance order — exactly the
-order the solo run's interner assigns them — so the sorted-slot order,
-and therefore every ticket-to-state mapping, matches the solo run
-bit-for-bit on either loop.  ``tests/engine/test_ensemble.py`` pins
-this equivalence.
+* A lane built on its own gets a :class:`LaneCell` of its own and
+  numbers states with that cell's interner ids.  This is the solo
+  engine: :class:`~repro.engine.kernel.multiset.KernelMultisetSimulator`
+  is such a lane plus the engine surface.  Only such a lane takes
+  ``weights``: it thins each proposal before it counts, with the
+  uniforms of a refill drawn ahead and the unused ones handed back at
+  the next refill, so the generator stream is the Fenwick
+  :class:`~repro.schedulers.weighted.WeightedMultisetSimulator`'s.
+* Lanes of a packed :class:`~repro.engine.ensemble.EnsembleSimulator`
+  cell share a :class:`LaneCell`: the cell's transition cache, and for
+  kernel protocols the buffers of the native loop
+  (:mod:`repro.engine.native`).  A native lane runs in C and resolves
+  pairs its siblings already filled straight from the cache's global
+  id-pair tables; control comes back to Python only for a pair the
+  cell has never resolved, a draw refill, the target, the budget, or
+  table growth.  Lanes of cells without a kernel run the Python loop.
+  A native lane that would pass :data:`KERNEL_PAIR_BOUND` local states
+  raises :class:`~repro.errors.SimulationError`, as a Python lane does
+  past its pair-key stride; the campaign pool reruns such a lane solo.
+
+Every cell keeps the leader mark and, under a weighted schedule, the
+thinning weight of each global state id; :meth:`LaneCell.sync_marks`
+extends both.  A packed lane assigns local state ids in
+first-appearance order — exactly the order the solo run's interner
+assigns them — so the sorted-slot order, and therefore every
+ticket-to-state mapping, matches the solo run bit-for-bit on either
+loop.  ``tests/engine/test_ensemble.py`` pins this equivalence.
 """
 
 from __future__ import annotations
 
 import ctypes
+from bisect import bisect_right
 from collections import Counter
+from typing import Mapping
 
 import numpy as np
 
@@ -201,17 +215,22 @@ class _NativeBuffers:
 
 
 class LaneCell:
-    """What the lanes of one packed cell share.
+    """What the lanes of a cell share.
 
     One transition cache (and its interner), the leader mark of every
     global state id — from the kernel's ``leader`` feature where the
     protocol compiles one, else from ``protocol.output`` once per id —
-    and, for kernel caches, the native loop's buffers.  The native
-    library is loaded when the first lane is claimed, not before.
+    the thinning weight of every id under a weighted schedule, and, for
+    kernel caches, the native loop's buffers.  The native library is
+    loaded when the first packed lane is claimed, not before.
     """
 
     def __init__(
-        self, protocol: Protocol, n: int, cache: TransitionCache | None = None
+        self,
+        protocol: Protocol,
+        n: int,
+        cache: TransitionCache | None = None,
+        weights: Mapping[str, float] | None = None,
     ) -> None:
         if cache is None:
             cache = make_transition_cache(protocol, StateInterner())
@@ -221,6 +240,17 @@ class LaneCell:
         self.interner: StateInterner = cache._interner
         #: Leader mark (0/1) per global state id.
         self.marks: list[int] = []
+        #: Thinning weight per global state id; ``None`` is the uniform
+        #: schedule.  Grown in place, so a running loop's reference
+        #: stays valid.
+        self.weights: list[float] | None = None
+        self.inv_wmax2 = 1.0
+        if weights is not None:
+            # Imported here: repro.schedulers.weighted imports the engines.
+            from repro.schedulers.weighted import thinning_constants
+
+            self._weight_of_symbol, self.inv_wmax2 = thinning_constants(weights)
+            self.weights = []
         self._native: _NativeBuffers | None = None
         self._loaded = False
         #: Native ``slot_run`` calls made by this cell's lanes.
@@ -232,20 +262,27 @@ class LaneCell:
         return "python" if self._native is None else "native"
 
     def sync_marks(self) -> None:
-        """Extend :attr:`marks` over every interned state."""
+        """Extend :attr:`marks` and :attr:`weights` over every interned
+        state."""
         marks = self.marks
         have, known = len(marks), len(self.interner)
         if have >= known:
             return
+        output = self.protocol.output
+        state_of = self.interner.state_of
         kernel = getattr(self.cache, "kernel", None)
         if kernel is not None and kernel.has_feature("leader"):
             codes = self.cache.id_codes()[have:known]
             marks.extend(kernel.feature_values("leader", codes).tolist())
         else:
-            output = self.protocol.output
-            state_of = self.interner.state_of
             marks.extend(
                 1 if output(state_of(sid)) == LEADER else 0
+                for sid in range(have, known)
+            )
+        if self.weights is not None:
+            weight_of = self._weight_of_symbol
+            self.weights.extend(
+                weight_of.get(output(state_of(sid)), 1.0)
                 for sid in range(have, known)
             )
 
@@ -268,10 +305,14 @@ class LaneCell:
 class SlotLane:
     """One exact multiset-chain trial on the sorted slot representation.
 
-    With a ``cell`` the lane shares that cell's cache and runs the
-    native loop when the cell has one; without, it builds its own cell
-    (over ``cache`` when given) and runs the Python loop — the
-    reference the native loop is tested against.
+    With a ``cell`` the lane is packed: it shares that cell's cache,
+    numbers states in its own first-appearance order and runs the
+    native loop when the cell has one.  Without, it builds its own cell
+    (over ``cache`` when given, thinning by ``weights`` when given),
+    numbers states with the cell's interner ids and runs the Python
+    loop — the solo engine, and the reference the native loop is
+    tested against.  ``batch_size`` is the number of proposals drawn
+    per refill.
     """
 
     def __init__(
@@ -283,27 +324,41 @@ class SlotLane:
         cache: TransitionCache | None = None,
         target: int = 1,
         cell: LaneCell | None = None,
+        weights: Mapping[str, float] | None = None,
+        batch_size: int = DRAW_BATCH_SIZE,
     ) -> None:
         self.protocol = protocol
         self.n = n
         self.seed = seed
         self.target = target
+        self.batch_size = batch_size
         own = cell is None
         if own:
-            cell = LaneCell(protocol, n, cache)
+            cell = LaneCell(protocol, n, cache, weights)
         elif cache is not None and cache is not cell.cache:
             raise SimulationError("a lane's cache must be its cell's cache")
+        elif weights is not None or cell.weights is not None:
+            raise SimulationError("a weighted lane runs in its own cell")
         self.cell = cell
         self.cache = cell.cache
         self._interner = cell.interner  # shared global id space
+        #: In its own cell a lane's ids are the interner's ids.
+        self._own = own
         initial_global = self._interner.intern(protocol.initial_state())
         cell.sync_marks()
         self.lead = n * cell.marks[initial_global]
         self.steps = 0
+        #: Null interactions and first-sight pairs.  Both are counted
+        #: on every run, so a stored summary never depends on the
+        #: telemetry switch.
+        self.null_steps = 0
+        self.pair_interns = 0
         self.rng = np.random.default_rng(seed)
         self._d1: list[int] = []
         self._d2: list[int] = []
         self._cursor = 0
+        self._uniforms: list[float] = []
+        self._ucursor = 0
         # (local0, local1) -> (post_local0, post_local1, leader_delta) or
         # None for null interactions.
         # Keyed by p0 * _PAIR_STRIDE + p1: int keys hash measurably
@@ -315,11 +370,15 @@ class SlotLane:
             (None, 0) if own else cell.claim(initial_global, self.lead)
         )
         if self._native is None:
-            # local id 0 = the initial state, matching the solo interner.
-            self.local_states = [initial_global]
-            self._local_of_global = {initial_global: 0}
-            self.slots = [0] * n
-            self.prefix = [n]  # inclusive prefix counts per local id
+            self.local_states: list[int] = []
+            self._local_of_global: dict[int, int] = {}
+            self.prefix: list[int] = []  # inclusive prefix counts per local id
+            if own:
+                self.load_ids({initial_global: n})
+            else:
+                # local id 0 = the initial state, matching the solo interner.
+                self._local_id(initial_global)
+                self.slots = [0] * n
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -338,9 +397,19 @@ class SlotLane:
             self.prefix.append(self.n)
         return local
 
+    def _cover(self) -> None:
+        """In its own cell, give every interned state its interner id
+        as local id (states a detector or ``load_counts`` interned
+        included), so the slot order is the interner's order."""
+        if self._own:
+            for global_id in range(len(self.local_states), len(self._interner)):
+                self._local_id(global_id)
+
     def _transition(self, p0: int, p1: int) -> tuple[int, int, int] | None:
+        self.pair_interns += 1
         globals_ = self.local_states
         q0g, q1g = self.cache.apply(globals_[p0], globals_[p1])
+        self._cover()
         q0 = self._local_id(q0g)
         q1 = self._local_id(q1g)
         if q0 == p0 and q1 == p1:
@@ -349,6 +418,22 @@ class SlotLane:
         marks = self.cell.marks
         delta = marks[q0g] + marks[q1g] - marks[globals_[p0]] - marks[globals_[p1]]
         return q0, q1, delta
+
+    def load_ids(self, counts: Mapping[int, int]) -> None:
+        """Replace the configuration of a lane in its own cell:
+        ``counts[sid]`` agents in interner state ``sid``."""
+        self._cover()
+        self.cell.sync_marks()
+        slots: list[int] = []
+        running = 0
+        for sid in range(len(self.prefix)):
+            count = counts.get(sid, 0)
+            slots.extend([sid] * count)
+            running += count
+            self.prefix[sid] = running
+        self.slots = slots
+        marks = self.cell.marks
+        self.lead = sum(marks[sid] * count for sid, count in counts.items())
 
     def distinct_states_seen(self) -> int:
         """States this lane's trial has reached (matches the solo interner)."""
@@ -395,6 +480,20 @@ class SlotLane:
             return self._run_native(max_steps, target)
         return self._run_python(max_steps, target)
 
+    def step(self) -> tuple[int, int, int, int]:
+        """Run one interaction on the Python loop; return its
+        ``(pre0, pre1, post0, post1)`` local ids."""
+        before = list(self.prefix)
+        self._run_python(1, None)
+        # The interaction is the last proposal drawn; find its agents'
+        # states in the configuration it started from.
+        t1 = self._d1[self._cursor - 1]
+        t2 = self._d2[self._cursor - 1]
+        p0 = bisect_right(before, t1)
+        p1 = bisect_right(before, t2 + (t2 >= before[p0] - 1))
+        hit = self._pairs[p0 * _PAIR_STRIDE + p1]
+        return (p0, p1, p0, p1) if hit is None else (p0, p1, hit[0], hit[1])
+
     def _own_buffers(self) -> _NativeBuffers:
         buffers = self._native
         if buffers.generation != self._generation:
@@ -408,6 +507,7 @@ class SlotLane:
         state = buffers.state
         state.target = -1 if target is None else target
         run, ref = buffers.run, buffers.ref
+        size = self.batch_size
         executed = 0
         calls = 0
         while executed < max_steps:
@@ -415,14 +515,12 @@ class SlotLane:
             calls += 1
             executed += state.steps
             if status == native.SLOT_REFILL:
-                self._d1 = self.rng.integers(
-                    0, self.n, size=DRAW_BATCH_SIZE, dtype=np.int64
-                )
+                self._d1 = self.rng.integers(0, self.n, size=size, dtype=np.int64)
                 self._d2 = self.rng.integers(
-                    0, self.n - 1, size=DRAW_BATCH_SIZE, dtype=np.int64
+                    0, self.n - 1, size=size, dtype=np.int64
                 )
                 state.d1, state.d2 = _pointer(self._d1), _pointer(self._d2)
-                state.batch = DRAW_BATCH_SIZE
+                state.batch = size
                 state.cursor = 0
             elif status == native.SLOT_MISS:
                 q0g, q1g = self.cache.apply(state.gpre0, state.gpre1)
@@ -442,20 +540,63 @@ class SlotLane:
         self.lead = state.lead
         return executed
 
+    def _refill(self) -> None:
+        """Draw the next ``batch_size`` proposals' tickets and, under a
+        weighted schedule, their thinning uniforms."""
+        rng = self.rng
+        if self._uniforms:
+            self._rewind_uniforms()
+        size = self.batch_size
+        self._d1 = rng.integers(0, self.n, size=size).tolist()
+        self._d2 = rng.integers(0, self.n - 1, size=size).tolist()
+        self._cursor = 0
+        if self.cell.weights is not None:
+            # Drawn ahead in one call: a proposal takes at most one, and
+            # the next refill hands the unused ones back to the generator.
+            self._uniforms_from = rng.bit_generator.state
+            self._uniforms = rng.random(size).tolist()
+            self._ucursor = 0
+
+    def _rewind_uniforms(self) -> None:
+        """Leave the generator where ``_ucursor`` scalar ``random()``
+        calls after the last refill would have: the Fenwick path's
+        stream, which draws one uniform per thinned proposal."""
+        bits = self.rng.bit_generator
+        before = self._uniforms_from
+        bits.state = before
+        bits.advance(self._ucursor)  # one 64-bit output per uniform
+        # advance() drops the buffered 32-bit half that the ticket draws
+        # may have left; uniforms never consume it, so restore it.
+        state = bits.state
+        state["has_uint32"] = before["has_uint32"]
+        state["uinteger"] = before["uinteger"]
+        bits.state = state
+
     def _run_python(self, max_steps: int, target: int | None) -> int:
-        n = self.n
+        """The sorted-slot loop.
+
+        Under a weighted schedule each proposal is thinned before it
+        counts: accepted when ``w0 * w1 * inv_wmax2 >= 1``, else with
+        one uniform draw.  A rejected proposal consumes its tickets and
+        that draw but touches neither the configuration nor the memo,
+        and is not an interaction."""
         slots = self.slots
         prefix = self.prefix
         pairs = self._pairs
         transition = self._transition
+        weight = self.cell.weights
+        inv_wmax2 = self.cell.inv_wmax2
+        lead = self.lead
         executed = 0
+        nulls = 0
         d1, d2, cursor = self._d1, self._d2, self._cursor
+        uniforms, ucursor = self._uniforms, self._ucursor
         while executed < max_steps:
             if cursor >= len(d1):
-                d1 = self.rng.integers(0, n, size=DRAW_BATCH_SIZE).tolist()
-                d2 = self.rng.integers(0, n - 1, size=DRAW_BATCH_SIZE).tolist()
-                self._d1, self._d2 = d1, d2
-                cursor = 0
+                self._ucursor = ucursor
+                self._refill()
+                d1, d2, uniforms = self._d1, self._d2, self._uniforms
+                cursor = ucursor = 0
             t1 = d1[cursor]
             t2 = d2[cursor]
             cursor += 1
@@ -464,6 +605,12 @@ class SlotLane:
             # (virtually the last slot of its block).
             j2 = t2 + (t2 >= prefix[p0] - 1)
             p1 = slots[j2]
+            if weight is not None:
+                accept = weight[p0] * weight[p1] * inv_wmax2
+                if accept < 1.0:
+                    ucursor += 1
+                    if uniforms[ucursor - 1] >= accept:
+                        continue
             executed += 1
             key = p0 * _PAIR_STRIDE + p1
             hit = pairs.get(key, _UNSEEN)
@@ -471,6 +618,7 @@ class SlotLane:
                 hit = transition(p0, p1)
                 pairs[key] = hit
             if hit is None:
+                nulls += 1
                 continue
             q0, q1, delta = hit
             for s, t in ((p0, q0), (p1, q1)):
@@ -496,9 +644,12 @@ class SlotLane:
                         slots[boundary] = y
                         prefix[y] = boundary + 1
             if delta:
-                self.lead += delta
-                if target is not None and self.lead == target:
+                lead += delta
+                if lead == target:
                     break
         self.steps += executed
+        self.null_steps += nulls
         self._cursor = cursor
+        self._ucursor = ucursor
+        self.lead = lead
         return executed

@@ -9,9 +9,10 @@ the instrument is safe on every hot path.  When telemetry is disabled,
 entirely: the disabled cost is a single ``is None`` branch per block.
 
 Every beat emits a ``heartbeat`` event (see :mod:`repro.telemetry.sink`)
-carrying the trial's identity, steps so far, wall-clock elapsed,
-steps/sec, and — when the engine knows its step budget — the ETA to
-``max_steps`` at the current rate.
+carrying the trial's identity, steps so far and the parallel time
+they make (steps / n), wall-clock elapsed, steps/sec, and — when the
+engine knows its step budget — the ETA to ``max_steps`` at the current
+rate.
 
 Beats also fan out to registered *beat listeners*
 (:func:`add_beat_listener`) — process-local callables fired with the
@@ -148,6 +149,7 @@ class Heartbeat:
             "protocol": self.protocol,
             "n": self.n,
             "steps": int(steps),
+            "parallel_time": round(steps / self.n, 3),
             "elapsed": round(elapsed, 3),
             "steps_per_sec": round(rate, 1),
             "max_steps": self.max_steps,

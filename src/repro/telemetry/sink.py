@@ -84,9 +84,11 @@ class EventSink:
 def _heartbeat_line(event: dict) -> str:
     eta = event.get("eta_sec")
     eta_text = f", eta {eta:.0f}s to budget" if eta is not None else ""
+    parallel = event.get("parallel_time")
+    time_text = f" (parallel time {parallel:.2f})" if parallel is not None else ""
     return (
         f"heartbeat {event.get('protocol')} n={event.get('n')} "
-        f"[{event.get('engine')}]: {event.get('steps'):,} steps in "
+        f"[{event.get('engine')}]: {event.get('steps'):,} steps{time_text} in "
         f"{event.get('elapsed', 0.0):.1f}s "
         f"({event.get('steps_per_sec', 0.0):,.0f} steps/s{eta_text})"
     )

@@ -124,9 +124,9 @@ class TestPathEquivalence:
         assert kernel.state_id_counts() == fenwick.state_id_counts()
         # The kernel path draws a refill's uniforms ahead; handing back
         # the unused ones must leave the Fenwick path's generator state.
-        kernel._rewind_uniforms()
+        kernel._lane._rewind_uniforms()
         assert (
-            kernel._rng.bit_generator.state == fenwick._rng.bit_generator.state
+            kernel._lane.rng.bit_generator.state == fenwick._rng.bit_generator.state
         )
 
 
@@ -149,14 +149,14 @@ class TestWeightTableCoverage:
         kernel.load_counts(counts)
         fenwick.load_counts(counts)
         assert len(kernel.interner) > known
-        table = kernel._weight_of_id
+        table = kernel._lane.cell.weights
         assert len(table) == len(kernel.interner)
         protocol = kernel.protocol
         for sid, weight in enumerate(table):
             symbol = protocol.output(kernel.interner.state_of(sid))
             assert weight == weights.get(symbol, 1.0)
         assert kernel.run_until_stabilized() == fenwick.run_until_stabilized()
-        assert len(kernel._weight_of_id) == len(kernel.interner)
+        assert len(kernel._lane.cell.weights) == len(kernel.interner)
         assert kernel.state_counts() == fenwick.state_counts()
         assert kernel.phases_json() == fenwick.phases_json()
 
@@ -174,8 +174,8 @@ class TestNeutralWeights:
         assert uniform.state_id_counts() == neutral.state_id_counts()
         assert uniform.phases_json() == neutral.phases_json()
         # Acceptance 1 everywhere: no thinning uniform is ever used.
-        assert neutral._ucursor == 0
-        neutral._rewind_uniforms()
+        assert neutral._lane._ucursor == 0
+        neutral._lane._rewind_uniforms()
         assert (
-            uniform._rng.bit_generator.state == neutral._rng.bit_generator.state
+            uniform._lane.rng.bit_generator.state == neutral._lane.rng.bit_generator.state
         )

@@ -78,6 +78,7 @@ class TestHeartbeat:
         assert event["protocol"] == "pll"
         assert event["seed"] == 7
         assert event["steps"] == 500
+        assert event["parallel_time"] == 0.5  # 500 steps over n = 1000
         assert event["steps_per_sec"] > 0
         assert event["eta_sec"] is not None and event["eta_sec"] >= 0.0
 
@@ -130,6 +131,14 @@ class TestEventSink:
         )
         err = capsys.readouterr().err
         assert "heartbeat" in err and "1,234 steps" in err
+
+    def test_heartbeat_echo_shows_parallel_time(self, capsys):
+        beat = fast_heartbeat(max_steps=10_000)
+        beat.sink = EventSink(None, echo=True)
+        time.sleep(0.001)
+        beat.maybe_beat(2500)
+        err = capsys.readouterr().err
+        assert "2,500 steps (parallel time 2.50) in" in err
 
     def test_non_heartbeat_events_do_not_echo(self, capsys):
         sink = EventSink(None, echo=True)

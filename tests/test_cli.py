@@ -181,6 +181,30 @@ class TestCommands:
         assert code == 0
         assert "stabilized" in capsys.readouterr().out
 
+    def test_simulate_names_the_engine_auto_resolved(self, capsys):
+        argv = ["simulate", "--protocol", "pll", "--n", "70000", "--engine", "auto"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "engine: auto -> batch (n >= BATCH_ENGINE_MIN_N = 65536)\n" in out
+
+    @pytest.mark.parametrize(
+        "protocol,engine,line",
+        [
+            ("pll", "multiset", "engine: multiset on the sorted-slot kernel engine"),
+            ("fast-nonce", "multiset", "engine: multiset on the Fenwick engine"),
+            (
+                "pll",
+                "auto",
+                "engine: auto -> multiset (n < BATCH_ENGINE_MIN_N = 65536) "
+                "on the sorted-slot kernel engine",
+            ),
+        ],
+    )
+    def test_simulate_names_the_multiset_engine(self, capsys, protocol, engine, line):
+        argv = ["simulate", "--protocol", protocol, "--n", "32", "--engine", engine]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(line + "\n")
+
     def test_every_registered_protocol_factory_builds(self):
         for name, factory in PROTOCOLS.items():
             protocol = factory(16)
