@@ -1,15 +1,13 @@
 """Ensemble-engine micro-benchmarks: packed-cell lane throughput.
 
-Companions to ``bench_batch.py``: where the batch engine vectorizes
-*within* one trial, :class:`repro.engine.ensemble.EnsembleSimulator`
-packs a cell's trials into sorted-slot lanes over one shared transition
-cache, run on the native loop for kernel protocols — the regime
-campaigns actually spend their time in (many trials at small-to-mid
-``n``, below the batch crossover).  The machine-readable
-trials-per-second comparison against serial solo runs and the
-multiprocessing pool is ``repro bench`` (``src/repro/bench/report.py``,
-schema v9, ``trials`` section); these targets isolate the engine-level
-pieces.
+:class:`repro.engine.ensemble.EnsembleSimulator` packs a cell's trials
+into sorted-slot lanes over one shared transition cache, run on the
+native loop for kernel protocols — the regime campaigns actually spend
+their time in (many trials at small-to-mid ``n``, below ``auto``'s
+superbatch crossover).  The machine-readable trials-per-second
+comparison against serial solo runs and the multiprocessing pool is
+``repro bench`` (``src/repro/bench/report.py``, ``trials`` section);
+these targets isolate the engine-level pieces.
 """
 
 from repro.core.pll import PLLProtocol

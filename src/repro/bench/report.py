@@ -6,10 +6,11 @@ workflow artifact on every run; see ``.github/workflows/ci.yml``).
 Every report carries all of these sections under the one schema
 :data:`SCHEMA`:
 
-* ``results``/``summary``: steps/sec and transition-cache statistics
-  for every engine over a grid of protocols and population sizes, on
-  both transition paths (kernel and cached) where a protocol compiles
-  a kernel;
+* ``results``/``summary``: whole-trial cost of the two engines ``auto``
+  picks from (multiset and superbatch) over a grid of PLL population
+  sizes: :data:`TRIAL_SEEDS` stabilization trials per cell, each capped
+  at ``2 log2 n`` parallel time, with the cell's rate its total steps
+  over its total trial seconds (:func:`measure_trial_cell`);
 * ``trials``: campaign-level trials/sec of the packed ensemble engine
   against serial solo runs and the multiprocessing pool;
 * ``kernel``: compiled-kernel vs cached-delta transition resolution on
@@ -27,19 +28,19 @@ Usage::
     repro bench --out other.json
 
 ``--check`` runs every gate at its module-constant threshold (exit 1
-on any failure): batch >= :data:`MIN_BATCH_RATIO` x multiset and
-superbatch >= :data:`MIN_SUPERBATCH_RATIO` x batch on the largest PLL
-cell; ensemble >= :data:`MIN_TRIALS_RATIO` x serial on the trials cell;
-kernel >= :data:`MIN_KERNEL_RATIO` x cached on both cold-pairs rows;
-the ceilings in :data:`OVERHEAD_GATES`; and, on full-grid records, the
-crossovers :func:`derive_crossovers` measures must equal ``auto``'s
-constants in :mod:`repro.orchestration.spec`.
+on any failure): superbatch >= :data:`MIN_SUPERBATCH_RATIO` x multiset
+on the largest PLL cell; ensemble >= :data:`MIN_TRIALS_RATIO` x serial
+on the trials cell; kernel >= :data:`MIN_KERNEL_RATIO` x cached on both
+cold-pairs rows; the ceilings in :data:`OVERHEAD_GATES`; and, on
+full-grid records, the crossover :func:`derive_crossovers` measures
+must equal ``auto``'s constant in :mod:`repro.orchestration.spec`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -61,12 +62,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.orchestration.pool import build_simulator, run_specs
 from repro.orchestration.registry import build_protocol
-from repro.orchestration.spec import (
-    BATCH_ENGINE_MIN_N,
-    ENGINES,
-    SUPERBATCH_ENGINE_MIN_N,
-    trial_specs,
-)
+from repro.orchestration.spec import SUPERBATCH_ENGINE_MIN_N, trial_specs
 from repro.schedulers.weighted import WeightedSuperBatchSimulator
 from repro.telemetry.core import TELEMETRY_ENV
 from repro.telemetry.sink import EVENTS_ENV, QUIET_ENV
@@ -75,30 +71,21 @@ from repro.telemetry.trace import TRACE_ENV
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_engine.json"
 
-#: (protocol registry name, population sizes) measured per engine.  The
-#: large-``n`` PLL cells (10^7, 10^8) are where the count-level
-#: super-batch engine earns its keep; see :data:`AGENT_MAX_N` for which
-#: engines run there.
+#: (protocol registry name, population sizes) of the whole-trial grid.
+#: The sizes bracket ``auto``'s crossover and reach 2^20, the
+#: ``large-n`` regime of the stabilization campaigns.
 FULL_GRID = (
-    ("pll", (1024, 65536, 1_000_000, 10_000_000, 100_000_000)),
-    ("angluin", (1024, 65536)),
+    ("pll", (1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 17, 1 << 18, 1 << 20)),
 )
-QUICK_GRID = (
-    # The larger quick cell sits at 2^18 so the batch-vs-multiset gate
-    # still grades batch inside its own regime: the kernel-backed
-    # multiset engine pushed the crossover well past the old 2^14.
-    ("pll", (1024, 262144)),
-    ("angluin", (1024,)),
-)
-FULL_STEPS = 100_000
-QUICK_STEPS = 20_000
+#: The largest quick cell sits at 2^18, inside superbatch's regime, so
+#: the superbatch-vs-multiset gate grades superbatch where auto runs it.
+QUICK_GRID = (("pll", (1 << 10, 1 << 18)),)
 
-#: Largest population the agent engine is measured at: its per-agent
-#: state arrays make setup alone scale with ``n``, which at 10^7+ only
-#: burns grid minutes documenting a regime ``auto`` never assigns it.
-#: The count-vector engines (multiset, batch, superbatch) have
-#: ``n``-independent setup and run the full grid.
-AGENT_MAX_N = 2_000_000
+#: The engines the grid measures: the two ``auto`` resolves to.
+GRID_ENGINES = ("multiset", "superbatch")
+
+#: Stabilization trials per grid cell (seeds ``seed .. seed + K - 1``).
+TRIAL_SEEDS = 5
 
 #: The headline comparison: the protocol every engine is graded on.
 CHECK_PROTOCOL = "pll"
@@ -106,8 +93,7 @@ CHECK_PROTOCOL = "pll"
 #: The campaign-shaped cell the trials-per-second section measures: deep
 #: enough in trials to exercise lane packing, small-to-mid in ``n`` —
 #: exactly the regime campaigns spend most of their trials in (and where
-#: BENCH_engine.json shows the within-trial batch engine losing to the
-#: per-interaction engines).
+#: multi-trial cells pack into ensemble lanes).
 TRIALS_PROTOCOL = "pll"
 TRIALS_N = 4096
 TRIALS_COUNT = 64
@@ -125,6 +111,8 @@ KERNEL_PROTOCOL = "pll"
 KERNEL_N = 1024
 #: Campaign-shaped trials per engine for the end-to-end comparison.
 KERNEL_TRIALS = 8
+#: The engines the kernel cell measures, each in its own request shape.
+KERNEL_ENGINES = ("multiset", "superbatch")
 
 #: The overhead cell the telemetry, faults and schedulers sections all
 #: time: the superbatch engine on production-scale PLL, the hottest
@@ -144,10 +132,9 @@ OVERHEAD_STEPS_QUICK = 800_000
 SCHEDULERS_WEIGHTS = {"L": 1.0}
 
 #: The schema every report carries.
-SCHEMA = "repro-bench-engine/9"
+SCHEMA = "repro-bench-engine/10"
 
 #: Floors of the speedup gates ``--check`` enforces.
-MIN_BATCH_RATIO = 1.0
 MIN_SUPERBATCH_RATIO = 1.0
 MIN_TRIALS_RATIO = 1.0
 MIN_KERNEL_RATIO = 1.0
@@ -163,18 +150,10 @@ OVERHEAD_GATES = (
     ("schedulers", "weighted", 1.10),
 )
 
-#: How decisively superbatch must beat every other engine before its
-#: regime extends down to a measured size.  Engine resolution feeds
-#: spec content hashes, so the boundary must not ride on run-to-run
-#: noise: near the batch/superbatch crossover the two engines measure
-#: within a few percent of each other.
+#: How decisively superbatch must beat multiset before its regime
+#: extends down to a measured size.  Engine resolution feeds spec
+#: content hashes, so the boundary must not ride on run-to-run noise.
 SUPERBATCH_WIN_MARGIN = 1.1
-
-#: Engines the batch crossover grades batch against: the per-interaction
-#: engines it was built to replace.  Superbatch is excluded there (it
-#: wins the far end of the grid, which would otherwise erase the batch
-#: regime) and gets its own outright-fastest rule.
-PER_INTERACTION_ENGINES = ("agent", "multiset")
 
 
 def measure_trials_cell(
@@ -294,52 +273,62 @@ def measure_trials_cell(
     }
 
 
-def measure_engine(
+def trial_cap(n: int) -> int:
+    """Step cap of a grid trial: ``2 log2 n`` parallel time."""
+    return int(2 * math.log2(n) * n)
+
+
+def measure_trial_cell(
     engine: str,
     protocol_name: str,
     n: int,
-    steps: int,
+    seeds: int | None = None,
     seed: int = 0,
-    use_kernel: bool | None = None,
 ) -> dict:
-    """Time ``steps`` interactions of one engine on one workload.
+    """Whole-trial cost of one engine on one grid cell.
 
-    ``use_kernel`` forces the transition-resolution path; ``None`` takes
-    the default (the compiled kernel for protocols that ship one).  The
-    row's ``transitions`` field records which path actually ran.
+    Runs ``seeds`` stabilization trials (seeds ``seed``, ``seed + 1``,
+    ...), each built fresh on the default transition path and capped at
+    :func:`trial_cap` steps.  Every trial records its process-time
+    seconds (engine build included), steps, parallel time, distinct
+    states and whether it reached the cap (``censored``).  The cell's
+    ``steps_per_sec`` is its total steps over its total trial seconds.
     """
-    protocol = build_protocol(protocol_name, n)
-    kernelized = compiled_kernel_for(protocol) is not None
-    if use_kernel is None:
-        use_kernel = kernelized
-    sim = build_simulator(
-        protocol, n, seed=seed, engine=engine, use_kernel=use_kernel
-    )
-    start = time.perf_counter()
-    executed = sim.run(steps)
-    elapsed = time.perf_counter() - start
-    if executed != steps:
-        raise RuntimeError(
-            f"{engine} executed {executed} of {steps} steps on "
-            f"{protocol_name} n={n}"
+    if seeds is None:
+        seeds = TRIAL_SEEDS
+    cap = trial_cap(n)
+    trials = []
+    for trial_seed in range(seed, seed + seeds):
+        start = time.process_time()
+        sim = build_simulator(
+            build_protocol(protocol_name, n), n, seed=trial_seed, engine=engine
         )
-    stats = sim.cache.stats
+        try:
+            sim.run_until_stabilized(max_steps=cap)
+            censored = False
+        except ConvergenceError:
+            censored = True
+        trials.append(
+            {
+                "seed": trial_seed,
+                "seconds": time.process_time() - start,
+                "steps": sim.steps,
+                "parallel_time": sim.parallel_time,
+                "distinct_states": sim.distinct_states_seen(),
+                "censored": censored,
+            }
+        )
+    seconds = sum(trial["seconds"] for trial in trials)
+    steps = sum(trial["steps"] for trial in trials)
     return {
         "engine": engine,
         "protocol": protocol_name,
         "n": n,
+        "cap_steps": cap,
+        "trials": trials,
+        "seconds": seconds,
         "steps": steps,
-        "transitions": "kernel" if use_kernel else "cached",
-        "seconds": elapsed,
-        "steps_per_sec": steps / elapsed,
-        "distinct_states": sim.distinct_states_seen(),
-        "cache": {
-            "entries": len(sim.cache),
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "bypasses": stats.bypasses,
-            "hit_rate": stats.hit_rate,
-        },
+        "steps_per_sec": steps / seconds,
     }
 
 
@@ -380,9 +369,8 @@ def _measure_cold_pairs(
     one fixed-length run (long enough for the timers to cycle well past
     stabilization), then resolve all ``S^2`` ordered pairs through a
     cold cache of each path, issued in the engine's request shape —
-    scalar ``apply`` calls for the multiset engine, block-sized
-    ``apply_block`` arrays (the engine's own ``~1.5 sqrt(n)`` pair
-    blocks) for the batch engine.
+    scalar ``apply`` calls for the multiset engine, one ``apply_block``
+    array per initiator state for the superbatch engine.
     """
     protocol = build_protocol(protocol_name, n)
     sim = build_simulator(protocol, n, seed=seed, engine=engine)
@@ -396,11 +384,10 @@ def _measure_cold_pairs(
     def replay(use_kernel: bool) -> float:
         cache = _fresh_cache(protocol_name, n, states, use_kernel)
         start = time.perf_counter()
-        if engine == "batch":
-            block = max(64, round(1.5 * (n ** 0.5)))
+        if engine == "superbatch":
             apply_block = cache.apply_block
-            for lo in range(0, pre0.shape[0], block):
-                apply_block(pre0[lo : lo + block], pre1[lo : lo + block])
+            for lo in range(0, pre0.shape[0], count):
+                apply_block(pre0[lo : lo + count], pre1[lo : lo + count])
         else:
             apply = cache.apply
             for initiator_id, responder_id in zip(
@@ -472,16 +459,16 @@ def measure_kernel_cell(
 ) -> dict:
     """The compiled-kernel comparison on the graded PLL n=1024 cell.
 
-    Two rows per engine (multiset and batch):
+    Two rows per engine (multiset and superbatch):
 
     * ``cold-pairs`` — the transition-resolution layer in isolation:
       the trial's full reached-pair space through a cold cache of each
       path, in the engine's request shape (the ``--check-kernel``
       gate; this is where "no Python delta on the hot path" cashes out);
     * ``trials`` — end-to-end campaign-shaped throughput on the same
-      cell (context: for the batch engine, per-block sampling machinery
-      bounds the end-to-end gain at small ``n`` even with transitions
-      free — see DESIGN.md Section 5).
+      cell (context: for the superbatch engine, per-run sampling
+      machinery bounds the end-to-end gain at small ``n`` even with
+      transitions free).
     """
     if protocol_name is None:
         protocol_name = KERNEL_PROTOCOL
@@ -490,7 +477,7 @@ def measure_kernel_cell(
     if trials is None:
         trials = KERNEL_TRIALS
     rows = []
-    for engine in ("multiset", "batch"):
+    for engine in KERNEL_ENGINES:
         print(
             f"  measuring kernel    {protocol_name} n={n} "
             f"({engine} cold pairs) ...",
@@ -715,49 +702,29 @@ def measure_overhead_cell(section: str, seed: int = 0, quick: bool = False) -> d
 def generate_report(quick: bool = False, seed: int = 0) -> dict:
     """Run every section and return the report dict.
 
-    The engine grid measures every kernel-compiled cell on both
-    transition paths (two rows, kernel and cached, per engine and cell);
-    then come the trials-per-second cell, the compiled-kernel cell and
-    the three overhead sections.
+    The whole-trial grid measures every engine of :data:`GRID_ENGINES`
+    on every cell; then come the trials-per-second cell, the
+    compiled-kernel cell and the three overhead sections.
     """
     grid = QUICK_GRID if quick else FULL_GRID
-    steps = QUICK_STEPS if quick else FULL_STEPS
     results = []
     for protocol_name, ns in grid:
-        kernelized = (
-            compiled_kernel_for(build_protocol(protocol_name, 2)) is not None
-        )
-        modes = (False, True) if kernelized else (None,)
         for n in ns:
-            for engine in ENGINES:
-                if engine == "agent" and n > AGENT_MAX_N:
-                    continue
-                for use_kernel in modes:
-                    path = (
-                        "default"
-                        if use_kernel is None
-                        else ("kernel" if use_kernel else "cached")
-                    )
-                    print(
-                        f"  measuring {engine:9s} {protocol_name:9s} "
-                        f"n={n} ({path}) ...",
-                        flush=True,
-                    )
-                    results.append(
-                        measure_engine(
-                            engine,
-                            protocol_name,
-                            n,
-                            steps,
-                            seed=seed,
-                            use_kernel=use_kernel,
-                        )
-                    )
+            for engine in GRID_ENGINES:
+                print(
+                    f"  measuring {engine:10s} {protocol_name} n={n} "
+                    f"(x{TRIAL_SEEDS} trials, cap {trial_cap(n):,} steps) ...",
+                    flush=True,
+                )
+                results.append(
+                    measure_trial_cell(engine, protocol_name, n, seed=seed)
+                )
     report = {
         "schema": SCHEMA,
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "quick": quick,
-        "steps_per_cell": steps,
+        "trial_seeds": TRIAL_SEEDS,
+        "trial_cap": "2 log2(n) parallel time",
         "seed": seed,
         "results": results,
         "summary": summarize(results),
@@ -769,55 +736,18 @@ def generate_report(quick: bool = False, seed: int = 0) -> dict:
     return report
 
 
-def _default_rows(results: list[dict]) -> list[dict]:
-    """One row per (protocol, n, engine): the default execution path.
-
-    The kernel row wins when both paths were measured: that is what
-    ``auto``/default construction runs.
-    """
-    chosen: dict[tuple[str, int, str], dict] = {}
-    for row in results:
-        key = (row["protocol"], row["n"], row["engine"])
-        current = chosen.get(key)
-        if current is None or row.get("transitions") == "kernel":
-            chosen[key] = row
-    return list(chosen.values())
-
-
 def summarize(results: list[dict]) -> dict:
-    """Cross-engine ratios per (protocol, n), keyed for easy diffing.
-
-    Engine entries report the default-path (kernel where available)
-    rates; cells measured on both paths additionally get a
-    ``kernel_vs_cached`` sub-mapping per engine.
-    """
+    """Per-(protocol, n) engine rates and the superbatch/multiset ratio,
+    keyed for easy diffing."""
     by_cell: dict[tuple[str, int], dict[str, float]] = {}
-    for row in _default_rows(results):
+    for row in results:
         cell = by_cell.setdefault((row["protocol"], row["n"]), {})
         cell[row["engine"]] = row["steps_per_sec"]
-    paths: dict[tuple[str, int], dict[str, dict[str, float]]] = {}
-    for row in results:
-        transitions = row.get("transitions")
-        if transitions is None:
-            continue
-        cell = paths.setdefault((row["protocol"], row["n"]), {})
-        cell.setdefault(row["engine"], {})[transitions] = row["steps_per_sec"]
     summary = {}
     for (protocol_name, n), cell in sorted(by_cell.items()):
         entry = dict(cell)
-        if "batch" in cell and "multiset" in cell:
-            entry["batch_vs_multiset"] = cell["batch"] / cell["multiset"]
-        if "batch" in cell and "agent" in cell:
-            entry["batch_vs_agent"] = cell["batch"] / cell["agent"]
-        if "superbatch" in cell and "batch" in cell:
-            entry["superbatch_vs_batch"] = cell["superbatch"] / cell["batch"]
-        ratios = {
-            engine: modes["kernel"] / modes["cached"]
-            for engine, modes in paths.get((protocol_name, n), {}).items()
-            if "kernel" in modes and "cached" in modes
-        }
-        if ratios:
-            entry["kernel_vs_cached"] = ratios
+        if "superbatch" in cell and "multiset" in cell:
+            entry["superbatch_vs_multiset"] = cell["superbatch"] / cell["multiset"]
         summary[f"{protocol_name}/n={n}"] = entry
     return summary
 
@@ -876,8 +806,8 @@ def check_kernel_speedup(report: dict, min_ratio: float) -> str | None:
     """Error message when a kernel cold-pairs row misses ``min_ratio``.
 
     Graded on the ``cold-pairs`` rows of the kernel cell, the
-    transition-resolution layer the kernels replace, for both the
-    multiset and batch engines.
+    transition-resolution layer the kernels replace, for every engine
+    of :data:`KERNEL_ENGINES`.
     """
     section = report.get("kernel")
     if not section:
@@ -889,7 +819,7 @@ def check_kernel_speedup(report: dict, min_ratio: float) -> str | None:
         for row in section.get("results", ())
         if row.get("mode") == "cold-pairs"
     }
-    for engine in ("multiset", "batch"):
+    for engine in KERNEL_ENGINES:
         row = graded.get(engine)
         if row is None:
             return f"kernel section lacks a {engine} cold-pairs row"
@@ -903,7 +833,7 @@ def check_kernel_speedup(report: dict, min_ratio: float) -> str | None:
             )
     ratios = ", ".join(
         f"{engine} {graded[engine]['kernel_vs_cached']:.2f}x"
-        for engine in ("multiset", "batch")
+        for engine in KERNEL_ENGINES
     )
     print(
         f"check ok: kernel vs cached-delta on {label} cold pairs: {ratios} "
@@ -942,99 +872,73 @@ def check_overhead(
 
 
 def _pll_rates_by_n(report: dict) -> dict[int, dict[str, float]]:
-    """Per-``n`` default-path steps/sec per engine over the PLL grid
-    rows (:func:`_default_rows`); malformed rows are skipped."""
-    rows = []
+    """Per-``n`` steps/sec per engine over the PLL grid rows; malformed
+    rows are skipped."""
+    by_n: dict[int, dict[str, float]] = {}
     for row in report.get("results", ()):
         try:
             if row["protocol"] == CHECK_PROTOCOL and isinstance(row["engine"], str):
-                rows.append(
-                    {
-                        **row,
-                        "n": int(row["n"]),
-                        "steps_per_sec": float(row["steps_per_sec"]),
-                    }
-                )
+                rate = float(row["steps_per_sec"])
+                by_n.setdefault(int(row["n"]), {})[row["engine"]] = rate
         except (KeyError, TypeError, ValueError):
             continue
-    by_n: dict[int, dict[str, float]] = {}
-    for row in _default_rows(rows):
-        by_n.setdefault(row["n"], {})[row["engine"]] = row["steps_per_sec"]
     return by_n
 
 
-def _smallest_winning_n(by_n, wins) -> int | None:
-    """Smallest ``n`` from which ``wins(rates)`` holds at every larger
-    measured ``n`` too, or None when it fails at the largest."""
+def derive_crossovers(report: dict) -> int | None:
+    """The superbatch crossover a full-grid record measures.
+
+    The smallest PLL ``n`` from which superbatch beats multiset by
+    :data:`SUPERBATCH_WIN_MARGIN`, there and at every larger measured
+    ``n``; ``None`` where the record never shows it winning.  Quick
+    records derive nothing: their reduced grid is too coarse to place a
+    boundary.
+    """
+    if report.get("quick"):
+        return None
     crossover = None
+    by_n = _pll_rates_by_n(report)
     for n in sorted(by_n, reverse=True):
-        if not wins(by_n[n]):
+        rates = by_n[n]
+        if not (
+            "superbatch" in rates
+            and "multiset" in rates
+            and rates["superbatch"] > SUPERBATCH_WIN_MARGIN * rates["multiset"]
+        ):
             break  # a loss here: wins above no longer extend down
         crossover = n
     return crossover
 
 
-def derive_crossovers(report: dict) -> tuple[int | None, int | None]:
-    """The (batch, superbatch) crossovers a full-grid record measures.
-
-    * batch: the smallest PLL ``n`` from which batch out-runs both
-      per-interaction engines, there and at every larger measured ``n``;
-    * superbatch: the smallest PLL ``n`` from which superbatch beats
-      every other engine by :data:`SUPERBATCH_WIN_MARGIN`, there and at
-      every larger measured ``n``.
-
-    ``None`` where the record never shows the engine winning.  Quick
-    records derive nothing: their reduced grid is too coarse and too
-    noisy to place a boundary.
-    """
-    if report.get("quick"):
-        return None, None
-    by_n = _pll_rates_by_n(report)
-
-    def batch_wins(rates: dict[str, float]) -> bool:
-        others = [rates[e] for e in PER_INTERACTION_ENGINES if e in rates]
-        return "batch" in rates and bool(others) and rates["batch"] > max(others)
-
-    def superbatch_wins(rates: dict[str, float]) -> bool:
-        others = [rate for e, rate in rates.items() if e != "superbatch"]
-        return (
-            "superbatch" in rates
-            and bool(others)
-            and rates["superbatch"] > SUPERBATCH_WIN_MARGIN * max(others)
-        )
-
-    return (
-        _smallest_winning_n(by_n, batch_wins),
-        _smallest_winning_n(by_n, superbatch_wins),
-    )
-
-
 def check_crossovers(report: dict) -> str | None:
-    """Error message when a full-grid record's crossovers disagree with
-    ``auto``'s constants in :mod:`repro.orchestration.spec`, else None.
+    """Error message when a full-grid record's crossover disagrees with
+    ``auto``'s constant in :mod:`repro.orchestration.spec`, else None.
 
-    Quick records pass with a note: they derive no crossovers.
+    Quick records pass with a note: they derive no crossover.
     """
     if report.get("quick"):
         print("check skipped: crossovers are graded on full-grid records only")
         return None
-    expected = (BATCH_ENGINE_MIN_N, SUPERBATCH_ENGINE_MIN_N)
     derived = derive_crossovers(report)
-    if derived != expected:
+    if derived != SUPERBATCH_ENGINE_MIN_N:
         return (
-            f"the record derives (batch, superbatch) crossovers {derived}, "
-            f"but auto uses {expected}; update the constants in "
-            "repro.orchestration.spec or re-measure"
+            f"the record derives the superbatch crossover {derived}, but "
+            f"auto uses SUPERBATCH_ENGINE_MIN_N = {SUPERBATCH_ENGINE_MIN_N}; "
+            "update the constant in repro.orchestration.spec or re-measure"
         )
-    print(f"check ok: the record derives auto's crossovers {expected}")
+    print(
+        "check ok: the record derives auto's crossover "
+        f"SUPERBATCH_ENGINE_MIN_N = {SUPERBATCH_ENGINE_MIN_N}"
+    )
     return None
 
 
 def run_checks(report: dict) -> list[str]:
     """Every gate at its module threshold; the failure messages."""
     errors = [
-        check_engine_ratio(report, "batch", "multiset", MIN_BATCH_RATIO),
-        check_engine_ratio(report, "superbatch", "batch", MIN_SUPERBATCH_RATIO),
+        check_engine_ratio(
+            report, "superbatch", "multiset", MIN_SUPERBATCH_RATIO
+        ),
         check_ensemble_speedup(report, MIN_TRIALS_RATIO),
         check_kernel_speedup(report, MIN_KERNEL_RATIO),
     ]
@@ -1049,24 +953,14 @@ def run_checks(report: dict) -> list[str]:
 def print_summary(report: dict) -> None:
     """Human-readable digest of a report on stdout."""
     for key, entry in report["summary"].items():
-        ratio = entry.get("batch_vs_multiset")
-        suffix = f"  (batch/multiset {ratio:.2f}x)" if ratio else ""
-        super_ratio = entry.get("superbatch_vs_batch")
-        if super_ratio:
-            suffix += f"  (superbatch/batch {super_ratio:.2f}x)"
+        ratio = entry.get("superbatch_vs_multiset")
+        suffix = f"  (superbatch/multiset {ratio:.2f}x)" if ratio else ""
         rates = ", ".join(
             f"{engine} {entry[engine]:,.0f}/s"
-            for engine in ("agent", "multiset", "batch", "superbatch")
+            for engine in GRID_ENGINES
             if engine in entry
         )
         print(f"  {key:18s} {rates}{suffix}")
-        kernel_ratios = entry.get("kernel_vs_cached")
-        if kernel_ratios:
-            rendered = ", ".join(
-                f"{engine} {value:.2f}x"
-                for engine, value in sorted(kernel_ratios.items())
-            )
-            print(f"  {'':18s} kernel/cached: {rendered}")
     trials = report["trials"]
     cell = trials["cell"]
     print(f"  trials cell {cell['protocol']}/n={cell['n']} x{cell['trials']}:")

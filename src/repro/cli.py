@@ -34,6 +34,7 @@ drives.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Sequence
@@ -58,7 +59,6 @@ from repro.orchestration import (
 )
 from repro.orchestration.spec import (
     AUTO_ENGINE,
-    BATCH_ENGINE_MIN_N,
     ENGINES,
     ENSEMBLE_ENGINE,
     SUPERBATCH_ENGINE_MIN_N,
@@ -185,9 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=AUTO_ENGINE,
             help=(
                 "engine the campaign's trials run on (default auto: "
-                "count-level superbatch at production n, batch in the "
-                "mid regime, ensemble-dispatched multiset below the "
-                "batch crossover)"
+                "count-level superbatch from the crossover up, "
+                "ensemble-dispatched multiset below it)"
             ),
         )
         if action in ("run", "resume"):
@@ -482,13 +481,11 @@ def _engine_line(requested: str, sim) -> str:
     line = f"engine: {requested}"
     if requested == AUTO_ENGINE:
         resolved = default_engine(sim.n)
-        if resolved == "superbatch":
-            reason = f"n >= SUPERBATCH_ENGINE_MIN_N = {SUPERBATCH_ENGINE_MIN_N}"
-        elif resolved == "batch":
-            reason = f"n >= BATCH_ENGINE_MIN_N = {BATCH_ENGINE_MIN_N}"
-        else:
-            reason = f"n < BATCH_ENGINE_MIN_N = {BATCH_ENGINE_MIN_N}"
-        line += f" -> {resolved} ({reason})"
+        side = ">=" if resolved == "superbatch" else "<"
+        line += (
+            f" -> {resolved} "
+            f"(n {side} SUPERBATCH_ENGINE_MIN_N = {SUPERBATCH_ENGINE_MIN_N})"
+        )
     elif requested == ENSEMBLE_ENGINE:
         line += " -> multiset (one trial is one lane)"
     if sim.ENGINE_NAME == "multiset":
@@ -845,7 +842,23 @@ def _command_bench(bench_args: list[str]) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    arguments = list(sys.argv[1:] if argv is None else argv)
+    try:
+        code = _dispatch(list(sys.argv[1:] if argv is None else argv))
+        # Flush here, not at interpreter exit, so a closed pipe surfaces
+        # as the BrokenPipeError handled below.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro ... | head``): stop quietly.
+        # Point stdout at /dev/null so the interpreter's exit-time flush
+        # does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+
+
+def _dispatch(arguments: list[str]) -> int:
     if arguments[:1] == ["bench"]:
         # Routed before argparse: the harness owns its own flags, and
         # argparse's REMAINDER refuses leading options ("--quick").

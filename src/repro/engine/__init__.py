@@ -1,28 +1,26 @@
 """Population-protocol simulation substrate.
 
-Five engines share one contract (protocols, interning, caching,
+Four engines share one contract (protocols, interning, caching,
 detectors):
 
 * :class:`~repro.engine.simulator.AgentSimulator` — per-agent identity;
   supports hooks, traces, epidemics, failure injection.
 * :class:`~repro.engine.multiset.MultisetSimulator` — count-based with
   Fenwick-tree sampling; per-step cost independent of ``n``.
-* :class:`~repro.engine.batch.BatchSimulator` — count-based, advancing
-  ``Theta(sqrt(n))`` interactions per vectorized NumPy block of
-  materialized scheduler picks.
 * :class:`~repro.engine.superbatch.SuperBatchSimulator` — count-level
-  super-batching: the same blocks sampled without any per-agent arrays
-  (exact birthday run lengths, hypergeometric pair multisets, colliding
-  agents replayed on counts), so per-block cost scales with the number
-  of distinct states rather than ``sqrt(n)``; the engine for
-  ``n >= 10^7`` sweeps.
+  super-batching: collision-free runs sampled without any per-agent
+  arrays (exact birthday run lengths, hypergeometric pair multisets,
+  colliding agents replayed on counts), so per-run cost scales with the
+  number of distinct states rather than with ``n``; ``auto``'s engine
+  from ``SUPERBATCH_ENGINE_MIN_N`` up.  Its count-vector base is
+  :class:`~repro.engine.batch.BatchSimulator`.
 * :class:`~repro.engine.ensemble.EnsembleSimulator` — packed
   campaign cells: M same-protocol trials run one after another as
   sorted-slot lanes over one shared interner and transition cache, each
   lane bit-identical to a solo multiset run.  It has no single-trial
   form: one ``ensemble`` trial is a solo multiset run.
 
-The four solo engines stabilize through one driver,
+The three solo engines stabilize through one driver,
 :func:`repro.engine.convergence.run_until_stabilized` (default budget,
 detector dispatch, heartbeat, trace span, phase-series polls, stage
 profile); each supplies only ``_advance(budget, target)``.
@@ -39,7 +37,6 @@ others keep the classic interner + memoized-cache path.  The choice is
 trajectory-invisible.  DESIGN.md has the selection guide.
 """
 
-from repro.engine.batch import BatchSimulator, BatchStats
 from repro.engine.superbatch import SuperBatchSimulator, SuperBatchStats
 from repro.engine.cache import CacheStats, TransitionCache
 from repro.engine.kernel import (
@@ -84,8 +81,6 @@ from repro.engine.trace import ConfigurationSnapshot, TraceRecorder, replay
 
 __all__ = [
     "AgentSimulator",
-    "BatchSimulator",
-    "BatchStats",
     "SuperBatchSimulator",
     "SuperBatchStats",
     "CacheStats",

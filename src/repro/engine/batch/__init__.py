@@ -1,29 +1,11 @@
-"""Vectorized batch-interaction engine.
+"""Count-vector base of the block engine.
 
-The subsystem splits into two layers:
-
-* :mod:`~repro.engine.batch.sampling` — scheduler-side vectorized
-  sampling: ordered agent-pair draws, birthday-collision detection, and
-  multivariate-hypergeometric block-state assignment;
-* :mod:`~repro.engine.batch.simulator` — :class:`BatchSimulator`, which
-  turns collision-free blocks into bulk count updates (one memoized
-  transition lookup per distinct state pair) and fast-forwards
-  null-dominated phases geometrically.
-
-See DESIGN.md for when to prefer this engine over ``agent``/``multiset``.
+:class:`BatchSimulator` is the shared count-level base of
+:class:`~repro.engine.superbatch.SuperBatchSimulator` (counts, tables,
+commits, null-run skip, checkpoints, telemetry, ``run``); it samples no
+blocks itself.  See DESIGN.md Section 6.
 """
 
-from repro.engine.batch.sampling import (
-    draw_interaction_pairs,
-    first_collision,
-    sample_block_states,
-)
 from repro.engine.batch.simulator import BatchSimulator, BatchStats
 
-__all__ = [
-    "BatchSimulator",
-    "BatchStats",
-    "draw_interaction_pairs",
-    "first_collision",
-    "sample_block_states",
-]
+__all__ = ["BatchSimulator", "BatchStats"]

@@ -1,62 +1,31 @@
-"""Count-vector simulation engine advancing many interactions per call.
+"""Count-vector base of the block engine.
 
-:class:`BatchSimulator` is the third engine.  Like
-:class:`~repro.engine.multiset.MultisetSimulator` it works on the
-count-vector representation, but instead of sampling one interaction at a
-time in Python it advances the chain a *block* at a time with vectorized
-NumPy sampling:
+:class:`BatchSimulator` holds what the count-level
+:class:`~repro.engine.superbatch.SuperBatchSimulator` runs on: the count
+vector and its id-indexed side tables (outputs, leader marks), bulk and
+single-interaction commits with an incrementally tracked leader count,
+the exact geometric null-run fast path, checkpoints, telemetry and the
+budgeted ``run`` loop.  It samples nothing itself: a subclass supplies
+``_advance_block(budget, leader_target)``, one sampled block of at most
+``budget`` interactions, cut at the first interaction whose leader count
+hits ``leader_target``.
 
-1. draw a block of ordered (initiator, responder) agent-index pairs
-   exactly as the sequential scheduler would
-   (:func:`~repro.engine.batch.sampling.draw_interaction_pairs`);
-2. cut the block at the first repeated agent — the birthday collision,
-   expected after ``Theta(sqrt(n))`` picks — so every agent in the
-   remaining prefix is distinct
-   (:func:`~repro.engine.batch.sampling.first_collision`);
-3. draw the prefix agents' states in one multivariate-hypergeometric shot
-   over the current counts and assign them to pick slots uniformly
-   (:func:`~repro.engine.batch.sampling.sample_block_states`);
-4. apply transitions groupwise — one memoized
-   :class:`~repro.engine.cache.TransitionCache` lookup per *distinct*
-   ordered state pair in the block — and update the count vector and
-   output tallies in bulk;
-5. execute the colliding interaction individually: a repeated agent's
-   state is its post-state from the prefix, a fresh agent's state is a
-   weighted draw from the untouched remainder.
-
-The composition is distribution-faithful to the sequential uniform
-scheduler (the count process is the same Markov chain; see DESIGN.md),
-which the tier-1 suite checks statistically with KS tests against the
-other engines.  Near stabilization, when most pairs are no-ops, a
-geometric fast path skips entire runs of null interactions: it computes
-the exact probability that a scheduler pick is a null pair, advances the
-step counter by a Geometric draw, and applies one weighted non-null
-interaction — still exact, but O(1) blocks instead of O(1) interactions.
-
-The engine has no per-interaction ``step()``; single-stepping is what the
-other two engines are for.  Stabilization for
-:class:`~repro.engine.convergence.MonotoneLeaderStabilization` is still
-detected at the exact interaction: the block records per-interaction
-leader-count deltas, locates the first interaction whose cumulative count
-hits the target, and commits only the prefix up to it.  Generic ``until``
-predicates are evaluated at block boundaries instead of every
-``check_every`` steps.
+Near stabilization, when most pairs are no-ops, the geometric fast path
+skips entire runs of null interactions: it computes the exact
+probability that a scheduler pick is a null pair, advances the step
+counter by a Geometric draw, and applies one weighted non-null
+interaction — still exact, but O(1) blocks instead of O(1)
+interactions.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.engine.batch.sampling import (
-    draw_interaction_pairs,
-    first_collision,
-    sample_block_states,
-)
 from repro.engine.convergence import run_until_stabilized
 from repro.engine.interner import StateInterner
 from repro.engine.kernel import make_transition_cache
@@ -71,16 +40,15 @@ __all__ = ["BatchSimulator", "BatchStats"]
 
 @dataclass
 class BatchStats:
-    """How the batch engine spent its interactions."""
+    """How a block engine spent its interactions."""
 
     blocks: int = 0
     block_steps: int = 0
     collision_steps: int = 0
     null_events: int = 0
     null_skipped_steps: int = 0
-    #: Blocks cut short at an exact in-block leader-target hit (the
-    #: birthday-block analogue of the super-batch engine's run
-    #: truncation).
+    #: Kept so stored telemetry and checkpoints keep their shape; the
+    #: super-batch engine counts its cut runs in ``truncated_runs``.
     truncated_blocks: int = 0
 
     @property
@@ -94,18 +62,14 @@ class BatchStats:
             + self.null_events
         )
 
-    @property
-    def mean_block(self) -> float:
-        """Average interactions committed per sampled block."""
-        return self.block_steps / self.blocks if self.blocks else 0.0
-
 
 class BatchSimulator:
-    """Execute a protocol on counts, many interactions per NumPy block."""
+    """Count vector, commits, null-run skip, checkpoints and ``run`` for
+    a block engine; subclasses supply ``_advance_block``."""
 
-    #: Engine name stamped into telemetry summaries and heartbeats
-    #: (subclasses override).
-    ENGINE_NAME = "batch"
+    # Subclasses set ``ENGINE_NAME``, the name stamped into telemetry
+    # summaries, heartbeats and checkpoints.
+
     #: ``_advance`` returns after one block; the stabilization driver
     #: polls after every block.
     BLOCK_ENGINE = True
@@ -116,7 +80,6 @@ class BatchSimulator:
         n: int,
         seed: int | None = None,
         cache_entries: int = 1 << 20,
-        block_pairs: int | None = None,
         null_scan_limit: int = 64,
         use_kernel: bool | None = None,
         telemetry: bool | None = None,
@@ -145,12 +108,6 @@ class BatchSimulator:
         #: boundaries.  ``None`` (the default) costs one branch per
         #: block.
         self.checkpointer = None
-        if block_pairs is None:
-            # The first collision lands after ~1.25 sqrt(n) picks in
-            # expectation; 1.5 sqrt(n) pairs (3 sqrt(n) picks) captures
-            # almost all of that mass without oversampling the tail.
-            block_pairs = max(64, round(1.5 * math.sqrt(n)))
-        self._block_pairs = block_pairs
         self._null_scan_limit = null_scan_limit
         self._null_mode = False
         self._counts = np.zeros(16, dtype=np.int64)
@@ -332,19 +289,6 @@ class BatchSimulator:
     # block execution
     # ------------------------------------------------------------------
 
-    def _apply_pairs(
-        self, pre0: np.ndarray, pre1: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Post-state ids for a slot-aligned block of ordered pre pairs.
-
-        Delegates to :meth:`TransitionCache.apply_block`: one gather from
-        the dense pair table while the state space is small, one lookup
-        per distinct ordered pair beyond it.
-        """
-        out0, out1 = self.cache.apply_block(pre0, pre1)
-        self._ensure_tables()
-        return out0, out1
-
     def _commit(
         self,
         pre0: np.ndarray,
@@ -371,120 +315,11 @@ class BatchSimulator:
         ticket = int(self._rng.integers(0, int(cumulative[-1])))
         return int(np.searchsorted(cumulative, ticket, side="right"))
 
-    def _advance_block(self, budget: int, leader_target: int | None) -> int:
-        """Sample and apply one block of at most ``budget`` interactions.
-
-        Returns the interactions applied.  A block whose leader count
-        hits ``leader_target`` is truncated at the first hit, so
-        ``self.steps`` is the true first-hit step.
-        """
-        pairs = min(self._block_pairs, budget)
-        profile = self._profile
-        with profile.stage("sample"):
-            initiators, responders = draw_interaction_pairs(
-                self._rng, self.n, pairs
-            )
-            free, collision_flat = first_collision(initiators, responders)
-            use = min(free, budget)
-            states = sample_block_states(
-                self._rng, self._counts[: len(self.interner)], 2 * use
-            )
-            pre0 = states[0::2]
-            pre1 = states[1::2]
-        with profile.stage("apply"):
-            post0, post1 = self._apply_pairs(pre0, pre1)
-        reached = False
-        if leader_target is not None:
-            with profile.stage("detect"):
-                marks = self._leader_mark
-                deltas = (
-                    marks[post0] + marks[post1] - marks[pre0] - marks[pre1]
-                )
-                if deltas.any():
-                    cumulative = self.leader_count + np.cumsum(deltas)
-                    hits = np.nonzero(cumulative == leader_target)[0]
-                    if hits.size:
-                        use = int(hits[0]) + 1
-                        pre0, pre1 = pre0[:use], pre1[:use]
-                        post0, post1 = post0[:use], post1[:use]
-                        reached = True
-                        self.stats.truncated_blocks += 1
-        with profile.stage("commit"):
-            self._commit(pre0, pre1, post0, post1)
-        self.steps += use
-        self.stats.blocks += 1
-        self.stats.block_steps += use
-        active = int(np.count_nonzero((post0 != pre0) | (post1 != pre1)))
-        if reached:
-            return use
-        applied = use
-        if collision_flat >= 0 and use == free and use < budget:
-            applied += 1
-            with profile.stage("commit"):
-                collision_active = self._collision_step(
-                    int(initiators[free]),
-                    int(responders[free]),
-                    initiators[:free],
-                    responders[:free],
-                    post0,
-                    post1,
-                )
-            active += collision_active
-            if (
-                leader_target is not None
-                and self.leader_count == leader_target
-            ):
-                return applied
-        if active == 0 and applied >= 16:
-            self._null_mode = True
-        return applied
-
-    def _collision_step(
-        self,
-        initiator_agent: int,
-        responder_agent: int,
-        block_initiators: np.ndarray,
-        block_responders: np.ndarray,
-        post0: np.ndarray,
-        post1: np.ndarray,
-    ) -> int:
-        """Apply the interaction that ended the block; returns 1 if active.
-
-        At least one of its two agents already interacted in the block, so
-        its state is the post-state it was left in; a fresh agent's state
-        is a weighted draw from the untouched remainder of the population
-        (current counts minus the block's post-states).
-        """
-
-        def touched_state(agent: int) -> int | None:
-            hits = np.nonzero(block_initiators == agent)[0]
-            if hits.size:
-                return int(post0[hits[0]])
-            hits = np.nonzero(block_responders == agent)[0]
-            if hits.size:
-                return int(post1[hits[0]])
-            return None
-
-        pre_initiator = touched_state(initiator_agent)
-        pre_responder = touched_state(responder_agent)
-        if pre_initiator is None or pre_responder is None:
-            pool = self._counts.copy()
-            size = pool.shape[0]
-            pool -= np.bincount(post0, minlength=size)
-            pool -= np.bincount(post1, minlength=size)
-            if pre_initiator is None:
-                pre_initiator = self._draw_one(pool)
-                pool[pre_initiator] -= 1
-            if pre_responder is None:
-                pre_responder = self._draw_one(pool)
-        return self._apply_single(pre_initiator, pre_responder)
-
     def _apply_single(self, pre_initiator: int, pre_responder: int) -> int:
         """Resolve and commit one individually executed interaction.
 
-        The shared tail of both block engines' collision steps: one
-        cache lookup, step/collision accounting, and the count +
-        leader-tally update.  Returns 1 when a state changed, 0 for a
+        The tail of a block's collision replay: one cache lookup,
+        step/collision accounting, and the count + leader-tally update.  Returns 1 when a state changed, 0 for a
         no-op.
         """
         post_initiator, post_responder = self.cache.apply(
@@ -624,5 +459,6 @@ class BatchSimulator:
 
     #: The shared driver (:func:`repro.engine.convergence.run_until_stabilized`);
     #: with the default detector the returned step count is exact, since
-    #: blocks are truncated at the first interaction hitting the target.
+    #: ``_advance_block`` cuts a block at the first interaction hitting
+    #: the target.
     run_until_stabilized = run_until_stabilized

@@ -17,8 +17,8 @@ Two lookup structures back the memo:
   or via ``REPRO_DENSE_STATE_BOUND``), stored pairs are mirrored into a
   ``(S, S)`` pair-indexed NumPy table.  Scalar lookups then skip dict
   hashing, and :meth:`TransitionCache.apply_block` resolves whole arrays
-  of pre-state pairs with one gather — the form the block engines
-  (batch, superbatch and their weighted forms) consume.  The moment the interner grows
+  of pre-state pairs with one gather — the form the block engine
+  (superbatch, uniform and weighted) consumes.  The moment the interner grows
   past the bound the dense mirror is dropped and everything falls back to
   the dict, so wide-state protocols pay nothing but the bound check.
 
@@ -29,8 +29,7 @@ not change underneath callers that tuned it.
 
 Since the dense fast path landed, block lookups account stats **per
 slot** on every path (PR 2's block path counted per *distinct* pair),
-so ``hit_rate`` is comparable across paths; batch-engine cache rows in
-BENCH_engine.json shifted accordingly at the same code generation.
+so ``hit_rate`` is comparable across paths.
 """
 
 from __future__ import annotations

@@ -107,7 +107,7 @@ def run_until_stabilized(
     exact interaction whose leader count hits the target; any other
     detector is polled through ``sim.run(..., until=...)``, every
     ``check_every`` steps on the per-interaction engines and at block
-    boundaries on the block engines.  Raises
+    boundaries on the block engine.  Raises
     :class:`~repro.errors.ConvergenceError` if ``max_steps`` (default
     :func:`default_max_steps`) elapses first.
     """
@@ -159,8 +159,8 @@ def run_to_leader_target(sim, target: int, max_steps: int) -> None:
       multiset engines) advance ``poll_mask + 1`` steps per segment and
       poll where this call's executed count reaches a multiple of it,
       never at a segment cut short by the budget or the target;
-    * block engines (batch, superbatch) advance the whole remaining
-      budget per call — ``_advance`` returns after one block — and poll
+    * the block engine (superbatch) advances the whole remaining
+      budget per call — ``_advance`` returns after one block — and polls
       after every block.
 
     A poll beats the heartbeat, samples the phase series and offers a

@@ -1,16 +1,12 @@
 """Count-level scheduler sampling for the super-batch engine.
 
-The batch engine (PR 2) samples the scheduler by *materializing* agent
-indices: ``Theta(sqrt(n))`` picks per block, an argsort to find the
-first repeated agent, a shuffle to assign sampled states to pick slots.
-Every one of those arrays scales with ``sqrt(n)``, so per-interaction
-cost bottoms out at a constant and the engine tops out around
-``10^6``-``10^7`` agents.
-
-This module samples the *same distributions* without the agent arrays,
-following the count-level ("unordered") formulation of Berenbrink et
-al., *Simulating Population Protocols in Sub-Constant Time per
-Interaction*:
+A block sampler that *materializes* agent indices pays for
+``Theta(sqrt(n))`` picks per block, an argsort to find the first
+repeated agent and a shuffle to assign sampled states to pick slots, so
+its per-interaction cost bottoms out at a constant.  This module samples
+the same distributions without any agent arrays, following the
+count-level ("unordered") formulation of Berenbrink et al.,
+*Simulating Population Protocols in Sub-Constant Time per Interaction*:
 
 * :func:`sample_run_length` draws the exact length of the
   collision-free prefix — the number of interactions before the first

@@ -1,15 +1,12 @@
 """Count-level super-batch simulation engine.
 
-:class:`SuperBatchSimulator` is the fifth engine.  Like
-:class:`~repro.engine.batch.BatchSimulator` it advances the chain a
-block at a time and is *distribution-faithful* rather than bit-identical
-to the sequential scheduler, but it crosses the batch engine's sqrt(n)
-birthday barrier by never materializing the scheduler's agent picks:
+:class:`SuperBatchSimulator` advances the chain a block at a time and is
+*distribution-faithful* rather than bit-identical to the sequential
+scheduler.  It never materializes the scheduler's agent picks:
 
 1. the length of the collision-free run — the number of interactions
-   before any agent repeats, the quantity the batch engine discovers by
-   argsorting ``Theta(sqrt(n))`` materialized picks — is sampled
-   directly from its exact birthday distribution
+   before any agent repeats — is sampled directly from its exact
+   birthday distribution
    (:func:`~repro.engine.superbatch.sampling.sample_run_length`);
 2. the run resolves as a multiset of ordered (initiator, responder)
    *state pairs* drawn straight from the count vector via chained
@@ -24,16 +21,17 @@ birthday barrier by never materializing the scheduler's agent picks:
    run's post-state multiset, a fresh participant's from the untouched
    remainder — no agent identities anywhere.
 
-Exact in-block monotone-leader detection carries over to count space:
-when the leader count can hit the detector's target inside a run, the
-run's pair multiset is bisected with multivariate-hypergeometric prefix
-splits (exchangeability makes the split exact) down to the single
-interaction of first hit, so ``run_until_stabilized`` still returns the
-true first-hit step.  The geometric null-run fast path is inherited
-unchanged from the batch engine — it always operated on counts.
+Exact in-block monotone-leader detection works in count space: when the
+leader count can hit the detector's target inside a run, the run's pair
+multiset is bisected with multivariate-hypergeometric prefix splits
+(exchangeability makes the split exact) down to the single interaction
+of first hit, so ``run_until_stabilized`` still returns the true
+first-hit step.  The count vector, commits, the geometric null-run fast
+path, checkpoints and ``run`` come from the count-level base
+:class:`~repro.engine.batch.BatchSimulator`.
 
-Faithfulness mirrors the batch engine's argument (DESIGN.md Section 6)
-and is enforced by the same KS tests; determinism per seed holds because
+DESIGN.md Section 6 carries the faithfulness argument, enforced by KS
+tests against the exact engines; determinism per seed holds because
 every draw flows through the one generator.
 """
 
@@ -56,7 +54,7 @@ __all__ = ["SuperBatchSimulator", "SuperBatchStats"]
 
 @dataclass
 class SuperBatchStats(BatchStats):
-    """Batch accounting plus the super-batch sampling counters.
+    """Block accounting plus the super-batch sampling counters.
 
     ``blocks`` counts sampled runs, ``block_steps`` the interactions they
     committed, ``collision_steps`` the individually replayed colliding
@@ -113,9 +111,8 @@ class SuperBatchSimulator(BatchSimulator):
     def _advance_block(self, budget: int, leader_target: int | None) -> int:
         """Sample and apply one collision-free run plus its collision.
 
-        Returns the interactions applied, like the batch engine's block:
-        a run whose leader count hits ``leader_target`` ends at the
-        first hit, so ``self.steps`` is the true first-hit step (runs
+        Returns the interactions applied: a run whose leader count hits
+        ``leader_target`` ends at the first hit, so ``self.steps`` is the true first-hit step (runs
         are truncated by exchangeable prefix splits, see
         :meth:`_truncate_run`).
         """
@@ -232,10 +229,9 @@ class SuperBatchSimulator(BatchSimulator):
         the run's (:func:`split_pair_multiset`); bisecting with such
         splits narrows to the exact first interaction at which the
         cumulative leader count equals ``target``.  Returns ``None``
-        when no prefix hits the target exactly (mirroring the batch
-        engine's in-block ``cumulative == target`` scan, which also
-        reports no hit when a hypothetical two-leader-loss interaction
-        would jump the count past the target).
+        when no prefix hits the target exactly (a hypothetical
+        two-leader-loss interaction jumping the count past the target is
+        no exact hit).
         """
         down = int((weight * np.minimum(deltas, 0)).sum())
         up = int((weight * np.maximum(deltas, 0)).sum())

@@ -222,7 +222,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
 
     # Lemma 10 analogue: scrambled epoch-4 starts with many tied leaders.
     # The engine comes from the registry resolution (count semantics are
-    # engine-independent, so the multiset/batch chains measure the same
+    # engine-independent, so the multiset/superbatch chains measure the same
     # process); the per-agent list collapses to a count vector first.
     for n in (32, 128):
         protocol = PLLProtocol.for_population(n)

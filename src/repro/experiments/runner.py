@@ -39,7 +39,7 @@ def make_simulator(
     seed: int,
     engine: str = "agent",
 ):
-    """Build the requested engine (``"agent"``, ``"multiset"``, ``"batch"``,
+    """Build the requested engine (``"agent"``, ``"multiset"``,
     ``"superbatch"``, or ``"auto"`` to pick by population size)."""
     return build_simulator(protocol, n, seed=seed, engine=engine)
 
@@ -63,10 +63,9 @@ def stabilization_trials(
     execution context (worker pool, trial store, ``--engine``/``--trials``
     overrides); factory callables always run serially in-process.
 
-    The default engine is ``"auto"``: per data point, production-scale
-    sweeps route through the count-level super-batch engine, mid-size
-    sweeps through the batch engine, and everything below the batch
-    crossover resolves to the multiset chain
+    The default engine is ``"auto"``: per data point, sweeps from the
+    measured crossover up route through the count-level super-batch
+    engine, and everything below it resolves to the multiset chain
     (:func:`~repro.orchestration.spec.default_engine` — deliberately a
     function of ``n`` alone, so hashes never depend on campaign depth).
     Multi-trial named cells then pack into ensemble lanes

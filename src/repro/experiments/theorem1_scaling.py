@@ -42,7 +42,7 @@ NS = [64, 128, 256, 512, 1024, 2048]
 TRIALS = 48
 
 #: Large-``n`` extension cells: population sizes only the count-level
-#: engines reach in reasonable time (``auto`` resolves them to batch /
+#: engines reach in reasonable time (``auto`` resolves them to
 #: superbatch).  They join the grid from ``scale >= LARGE_N_SCALE`` —
 #: an explicit opt-in, because even a handful of 10^8-agent trials
 #: dominates the sweep's wall clock — with a reduced per-cell trial

@@ -20,6 +20,7 @@ checkpoint can never outlive — or alias — the trial it belongs to.
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 import tempfile
@@ -46,13 +47,16 @@ DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
 
 CHECKPOINT_VERSION = 1
 
+_log = logging.getLogger(__name__)
+
+
 #: Engines that implement ``checkpoint_state``/``restore_state``.  The
-#: block engines are the ones whose trials run long enough to matter and
+#: block engine is the one whose trials run long enough to matter and
 #: whose state (a count vector plus one generator) snapshots cheaply at
 #: block boundaries; the per-interaction engines carry buffered draw
 #: cursors mid-stream and stay out of scope.
 def checkpoint_engines() -> tuple[str, ...]:
-    return ("batch", "superbatch")
+    return ("superbatch",)
 
 
 class TrialCheckpointer:
@@ -134,9 +138,27 @@ class TrialCheckpointer:
         return payload
 
     def restore(self, sim, injector=None) -> bool:
-        """Restore ``sim`` (and the injector) from disk; True on resume."""
+        """Restore ``sim`` (and the injector) from disk; True on resume.
+
+        A snapshot written by another engine (such as the retired
+        ``batch`` engine) is refused and deleted with a warning: ``sim``
+        cannot continue its chain, so the trial restarts from scratch.
+        """
         payload = self.load()
-        if payload is None or payload["engine"] != sim.ENGINE_NAME:
+        if payload is None:
+            return False
+        engine = payload["engine"]
+        if engine != sim.ENGINE_NAME:
+            retired = "" if engine in checkpoint_engines() else " (a retired engine)"
+            _log.warning(
+                "refusing checkpoint %s: it was written by the %r engine%s, "
+                "but this trial runs %r; starting the trial from scratch",
+                self.path,
+                engine,
+                retired,
+                sim.ENGINE_NAME,
+            )
+            self.clear()
             return False
         sim.restore_state(payload["sim"])
         if injector is not None and payload["injector"] is not None:

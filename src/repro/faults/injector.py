@@ -21,7 +21,7 @@ and flows into the campaign fabric's retry/quarantine path.
 
 Event application is two-pathed by exchangeability:
 
-* count-level (`state_counts`/`load_counts` engines — multiset, batch,
+* count-level (`state_counts`/`load_counts` engines — multiset and
   superbatch): uniformly-chosen victims are a multivariate
   hypergeometric draw on the count vector, and corrupt replacements are
   uniform over the states present.  No agent identities materialize, so

@@ -51,7 +51,6 @@ from repro.orchestration.runner import (
 )
 from repro.orchestration.spec import (
     AUTO_ENGINE,
-    BATCH_ENGINE_MIN_N,
     ENGINES,
     SUPERBATCH_ENGINE_MIN_N,
     CampaignSpec,
@@ -64,7 +63,6 @@ from repro.orchestration.store import DEFAULT_STORE_PATH, TrialStore
 
 __all__ = [
     "AUTO_ENGINE",
-    "BATCH_ENGINE_MIN_N",
     "CampaignResult",
     "CampaignRunner",
     "CampaignSpec",

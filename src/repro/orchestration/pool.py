@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Sequence
 
-from repro.engine.batch import BatchSimulator
 from repro.engine.ensemble import EnsembleSimulator
 from repro.engine.kernel import compiled_kernel_for, kernels_enabled
 from repro.engine.kernel.multiset import KernelMultisetSimulator
@@ -49,8 +48,10 @@ from repro.orchestration.spec import (
     ENGINES,
     ENSEMBLE_ENGINE,
     ENSEMBLE_MIN_TRIALS,
+    RETIRED_ENGINES,
     TrialOutcome,
     TrialSpec,
+    check_engine,
     check_population,
     default_engine,
 )
@@ -59,7 +60,6 @@ from repro.schedulers.graphs import graph_scheduler_for
 from repro.schedulers.spec import SchedulerSpec, scheduler_json
 from repro.schedulers.weighted import (
     StateWeightedScheduler,
-    WeightedBatchSimulator,
     WeightedMultisetSimulator,
     WeightedSuperBatchSimulator,
 )
@@ -85,14 +85,12 @@ Simulator = (
     AgentSimulator
     | MultisetSimulator
     | KernelMultisetSimulator
-    | BatchSimulator
     | SuperBatchSimulator
 )
 
 _ENGINE_FACTORIES: dict[str, Callable[..., Simulator]] = {
     "agent": AgentSimulator,
     "multiset": MultisetSimulator,
-    "batch": BatchSimulator,
     "superbatch": SuperBatchSimulator,
 }
 if set(_ENGINE_FACTORIES) != set(ENGINES):  # pragma: no cover
@@ -155,6 +153,8 @@ def build_simulator(
     try:
         factory = _ENGINE_FACTORIES[engine]
     except KeyError:
+        if engine in RETIRED_ENGINES:
+            check_engine(engine)
         raise ExperimentError(
             f"unknown engine {engine!r}; use one of: "
             f"{', '.join(ENGINES)}, {ENSEMBLE_ENGINE}, {AUTO_ENGINE}"
@@ -197,10 +197,6 @@ def _build_scheduled_simulator(
                     protocol, n, seed=seed, weights=weights
                 )
             return WeightedMultisetSimulator(
-                protocol, n, weights, seed=seed, use_kernel=use_kernel
-            )
-        if engine == "batch":
-            return WeightedBatchSimulator(
                 protocol, n, weights, seed=seed, use_kernel=use_kernel
             )
         if engine == "superbatch":

@@ -30,7 +30,6 @@ from repro.schedulers.spec import SchedulerSpec, resolve_schedule_engine
 
 __all__ = [
     "AUTO_ENGINE",
-    "BATCH_ENGINE_MIN_N",
     "ENGINES",
     "ENSEMBLE_ENGINE",
     "ENSEMBLE_MIN_TRIALS",
@@ -39,6 +38,7 @@ __all__ = [
     "TrialOutcome",
     "TrialSpec",
     "CampaignSpec",
+    "check_engine",
     "check_population",
     "default_engine",
     "trial_specs",
@@ -55,7 +55,11 @@ MONOTONE_LEADER = "monotone-leader"
 
 #: The simulation engines a spec may name; the single source of truth for
 #: engine-name validation, the pool's dispatch table, and CLI choices.
-ENGINES = ("agent", "multiset", "batch", "superbatch")
+ENGINES = ("agent", "multiset", "superbatch")
+
+#: Engine names specs no longer accept.  Store rows written under them
+#: stay readable; only new specs are refused.
+RETIRED_ENGINES = ("batch",)
 
 #: Pseudo-engine accepted by grid builders and the CLI: resolves per
 #: (population size, trial count) via :func:`default_engine` before specs
@@ -75,19 +79,14 @@ ENSEMBLE_ENGINE = "ensemble"
 #: transition cache for packing to pay, and the solo path runs instead).
 ENSEMBLE_MIN_TRIALS = 4
 
-#: Population size at which ``auto`` switches to the batch engine: the
-#: smallest measured PLL ``n`` from which batch stays faster than both
-#: per-interaction engines.  A code constant, so spec hashes depend only
-#: on code; the bench's crossover gate
-#: (:func:`repro.bench.report.derive_crossovers`) fails when a full-grid
-#: record disagrees with it.
-BATCH_ENGINE_MIN_N = 1 << 16
-
-#: Population size at which ``auto`` switches again, to the count-level
-#: super-batch engine: the smallest measured PLL ``n`` from which it
-#: beats every other engine by the bench's win margin, there and at
-#: every larger measured size.  Checked by the same gate.
-SUPERBATCH_ENGINE_MIN_N = 1_000_000
+#: Population size at which ``auto`` switches from the multiset chain
+#: to the count-level super-batch engine: the smallest measured PLL
+#: ``n`` from which superbatch beats multiset on whole capped trials by
+#: the bench's win margin, there and at every larger measured size.  A
+#: code constant, so spec hashes depend only on code; the bench's
+#: crossover gate (:func:`repro.bench.report.derive_crossovers`) fails
+#: when a full-grid record disagrees with it.
+SUPERBATCH_ENGINE_MIN_N = 1 << 18
 
 #: Smallest population no spec or simulator accepts: numpy's
 #: ``Generator.hypergeometric`` and ``multivariate_hypergeometric``,
@@ -105,17 +104,30 @@ def check_population(n: int) -> None:
         )
 
 
+def check_engine(engine: str) -> None:
+    """Raise :class:`ExperimentError` unless ``engine`` is a concrete engine."""
+    if engine in ENGINES:
+        return
+    if engine in RETIRED_ENGINES:
+        raise ExperimentError(
+            f"engine {engine!r} was retired; use 'multiset' below "
+            f"n={SUPERBATCH_ENGINE_MIN_N:,} and 'superbatch' from there "
+            "(or 'auto', which picks between them)"
+        )
+    raise ExperimentError(
+        f"unknown engine {engine!r}; use one of: {', '.join(ENGINES)}"
+    )
+
+
 def default_engine(n: int) -> str:
     """Concrete engine the ``auto`` pseudo-engine resolves to at size ``n``.
 
-    Three measured regimes: production-scale sweeps route through the
-    count-level super-batch engine from
-    :data:`SUPERBATCH_ENGINE_MIN_N`, mid-size sweeps through the batch
-    engine from :data:`BATCH_ENGINE_MIN_N`, and everything below the
-    batch crossover names the multiset chain — where multi-trial cells
-    pack into ensemble lanes sharing one transition cache at execution
-    time (:func:`repro.orchestration.pool.run_specs`), while small
-    groups and single-trial points run the solo multiset engine.
+    Two measured regimes: from :data:`SUPERBATCH_ENGINE_MIN_N` up,
+    sweeps route through the count-level super-batch engine; below it
+    they name the multiset chain — where multi-trial cells pack into
+    ensemble lanes sharing one transition cache at execution time
+    (:func:`repro.orchestration.pool.run_specs`), while small groups
+    and single-trial points run the solo multiset engine.
 
     The resolution deliberately depends on ``n`` alone — never on the
     trial count — so a given ``(protocol, params, n, seed)`` data point
@@ -123,9 +135,7 @@ def default_engine(n: int) -> str:
     campaign) requested it, keeping store rows shared across entry
     points.
     """
-    if n >= SUPERBATCH_ENGINE_MIN_N:
-        return "superbatch"
-    return "batch" if n >= BATCH_ENGINE_MIN_N else "multiset"
+    return "superbatch" if n >= SUPERBATCH_ENGINE_MIN_N else "multiset"
 
 
 @dataclass(frozen=True)
@@ -215,10 +225,7 @@ class TrialSpec:
         if n < 2:
             raise ExperimentError(f"population needs at least 2 agents, got n={n}")
         check_population(n)
-        if engine not in ENGINES:
-            raise ExperimentError(
-                f"unknown engine {engine!r}; use one of: {', '.join(ENGINES)}"
-            )
+        check_engine(engine)
         if detector != MONOTONE_LEADER:
             raise ExperimentError(
                 f"unknown detector {detector!r}; only {MONOTONE_LEADER!r} "

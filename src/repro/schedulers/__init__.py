@@ -28,7 +28,6 @@ from repro.schedulers.spec import (
 )
 from repro.schedulers.weighted import (
     StateWeightedScheduler,
-    WeightedBatchSimulator,
     WeightedMultisetSimulator,
     WeightedSuperBatchSimulator,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "ring_edges",
     "torus_edges",
     "StateWeightedScheduler",
-    "WeightedBatchSimulator",
     "WeightedMultisetSimulator",
     "WeightedSuperBatchSimulator",
 ]

@@ -15,15 +15,14 @@ interactions only.
 
 Why thinning keeps the count-level engines exact: acceptance depends only
 on the proposed pair's own states, never on agent identity or on a global
-normalizer.  Within a batch block (cut at the first birthday collision)
-or a super-batch collision-free run, all drawn agents are distinct, so
-every proposal's pre-states — for the accept decision *and* for the
-transition — come from the block-start counts exactly as the uniform
-engines already sample them.  Thinning such a block is therefore a
-per-proposal Bernoulli filter (a Binomial per realized pair type on the
-super-batch COO multiset), and the accepted sub-multiset inherits the
-run's exchangeability, so leader-target truncation via hypergeometric
-prefix splits applies unchanged.  See DESIGN.md Section 11.
+normalizer.  Within a super-batch collision-free run all drawn agents
+are distinct, so every proposal's pre-states — for the accept decision
+*and* for the transition — come from the run-start counts exactly as
+the uniform engine already samples them.  Thinning such a run is
+therefore a Binomial per realized pair type on the run's COO multiset,
+and the accepted sub-multiset inherits the run's exchangeability, so
+leader-target truncation via hypergeometric prefix splits applies
+unchanged.  See DESIGN.md Section 11.
 """
 
 from __future__ import annotations
@@ -32,12 +31,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.engine.batch.sampling import (
-    draw_interaction_pairs,
-    first_collision,
-    sample_block_states,
-)
-from repro.engine.batch.simulator import BatchSimulator
 from repro.engine.multiset import MultisetSimulator
 from repro.engine.scheduler import RandomScheduler
 from repro.engine.superbatch.sampling import sample_run_length, sample_run_pairs
@@ -48,7 +41,6 @@ __all__ = [
     "StateWeightedScheduler",
     "thinning_constants",
     "WeightedMultisetSimulator",
-    "WeightedBatchSimulator",
     "WeightedSuperBatchSimulator",
 ]
 
@@ -177,16 +169,23 @@ class WeightedMultisetSimulator(MultisetSimulator):
         return summary
 
 
-class _WeightedCountsMixin:
-    """Weight table plus the weighted geometric null path, shared by the
-    block engines (batch and super-batch)."""
+class WeightedSuperBatchSimulator(SuperBatchSimulator):
+    """Collision-free-run engine with Binomial thinning per pair type."""
 
-    def _init_weights(self, weights: Mapping[str, float]) -> None:
-        """Call *before* ``super().__init__`` — ``_ensure_tables`` runs
-        during base construction and needs the symbol map in place."""
+    def __init__(
+        self,
+        protocol,
+        n: int,
+        weights: Mapping[str, float],
+        seed: int | None = None,
+        **kwargs,
+    ) -> None:
+        # Before the base constructor: its ``_ensure_tables`` call needs
+        # the symbol map in place.
         self._weight_of_symbol, self._inv_wmax2 = thinning_constants(weights)
         self._weight_of_id = np.ones(16, dtype=np.float64)
         self._weights_known = 0
+        super().__init__(protocol, n, seed=seed, **kwargs)
 
     def _ensure_tables(self) -> None:
         super()._ensure_tables()
@@ -279,192 +278,6 @@ class _WeightedCountsMixin:
         summary = super().telemetry_summary()
         summary["scheduler"] = "weighted"
         return summary
-
-
-class WeightedBatchSimulator(_WeightedCountsMixin, BatchSimulator):
-    """Birthday-block engine with vectorized per-proposal thinning."""
-
-    ENGINE_NAME = "batch"
-
-    def __init__(
-        self,
-        protocol,
-        n: int,
-        weights: Mapping[str, float],
-        seed: int | None = None,
-        **kwargs,
-    ) -> None:
-        self._init_weights(weights)
-        super().__init__(protocol, n, seed=seed, **kwargs)
-
-    def _advance_block(self, budget: int, leader_target: int | None) -> int:
-        """One thinned birthday block of at most ``budget`` chain steps.
-
-        The uniform prefix (every agent distinct) is proposed exactly as
-        the base engine does; a vectorized Bernoulli filter keeps the
-        accepted subsequence.  Budget and leader-target cuts act on
-        accepted interactions, and the colliding proposal is itself
-        accept/rejected against its participants' current states.
-        """
-        pairs = min(self._block_pairs, budget)
-        profile = self._profile
-        rng = self._rng
-        with profile.stage("sample"):
-            initiators, responders = draw_interaction_pairs(
-                rng, self.n, pairs
-            )
-            free, collision_flat = first_collision(initiators, responders)
-            states = sample_block_states(
-                rng, self._counts[: len(self.interner)], 2 * free
-            )
-            pre0 = states[0::2]
-            pre1 = states[1::2]
-            weight_table = self._weight_of_id
-            accept_p = (
-                weight_table[pre0] * weight_table[pre1] * self._inv_wmax2
-            )
-            accept = accept_p >= 1.0
-            undecided = ~accept
-            if undecided.any():
-                accept[undecided] = (
-                    rng.random(int(undecided.sum())) < accept_p[undecided]
-                )
-            kept = np.nonzero(accept)[0]
-            budget_cut = kept.shape[0] > budget
-            if budget_cut:
-                # Proposals after the budget-th accepted one never happen.
-                kept = kept[:budget]
-            block_pre0 = pre0[kept]
-            block_pre1 = pre1[kept]
-        with profile.stage("apply"):
-            post0, post1 = self._apply_pairs(block_pre0, block_pre1)
-        use = kept.shape[0]
-        reached = False
-        if leader_target is not None and use:
-            with profile.stage("detect"):
-                marks = self._leader_mark
-                deltas = (
-                    marks[post0]
-                    + marks[post1]
-                    - marks[block_pre0]
-                    - marks[block_pre1]
-                )
-                if deltas.any():
-                    cumulative = self.leader_count + np.cumsum(deltas)
-                    hits = np.nonzero(cumulative == leader_target)[0]
-                    if hits.size:
-                        use = int(hits[0]) + 1
-                        kept = kept[:use]
-                        block_pre0, block_pre1 = (
-                            block_pre0[:use],
-                            block_pre1[:use],
-                        )
-                        post0, post1 = post0[:use], post1[:use]
-                        reached = True
-                        self.stats.truncated_blocks += 1
-        with profile.stage("commit"):
-            self._commit(block_pre0, block_pre1, post0, post1)
-        self.steps += use
-        self.stats.blocks += 1
-        self.stats.block_steps += use
-        active = int(
-            np.count_nonzero((post0 != block_pre0) | (post1 != block_pre1))
-        )
-        if reached:
-            return use
-        applied = use
-        if collision_flat >= 0 and not budget_cut and applied < budget:
-            # Current state of every proposed agent: post for accepted
-            # proposals, unchanged pre for rejected ones.
-            effective0 = pre0.copy()
-            effective1 = pre1.copy()
-            effective0[kept] = post0
-            effective1[kept] = post1
-            with profile.stage("commit"):
-                consumed, collision_active = self._thinned_collision_step(
-                    int(initiators[free]),
-                    int(responders[free]),
-                    initiators[:free],
-                    responders[:free],
-                    effective0,
-                    effective1,
-                )
-            applied += consumed
-            active += collision_active
-            if (
-                consumed
-                and leader_target is not None
-                and self.leader_count == leader_target
-            ):
-                return applied
-        if active == 0 and applied >= 16:
-            self._null_mode = True
-        return applied
-
-    def _thinned_collision_step(
-        self,
-        initiator_agent: int,
-        responder_agent: int,
-        block_initiators: np.ndarray,
-        block_responders: np.ndarray,
-        effective0: np.ndarray,
-        effective1: np.ndarray,
-    ) -> tuple[int, int]:
-        """Accept/reject and maybe apply the colliding proposal.
-
-        Same pre-state resolution as the base engine's collision step —
-        a touched agent carries its effective (possibly unchanged)
-        block state, a fresh agent is drawn from the untouched
-        remainder — followed by the thinning decision.  Returns
-        ``(chain steps consumed, active interactions)``.
-        """
-
-        def touched_state(agent: int) -> int | None:
-            hits = np.nonzero(block_initiators == agent)[0]
-            if hits.size:
-                return int(effective0[hits[0]])
-            hits = np.nonzero(block_responders == agent)[0]
-            if hits.size:
-                return int(effective1[hits[0]])
-            return None
-
-        pre_initiator = touched_state(initiator_agent)
-        pre_responder = touched_state(responder_agent)
-        if pre_initiator is None or pre_responder is None:
-            pool = self._counts.copy()
-            size = pool.shape[0]
-            pool -= np.bincount(effective0, minlength=size)
-            pool -= np.bincount(effective1, minlength=size)
-            if pre_initiator is None:
-                pre_initiator = self._draw_one(pool)
-                pool[pre_initiator] -= 1
-            if pre_responder is None:
-                pre_responder = self._draw_one(pool)
-        weight_table = self._weight_of_id
-        accept = (
-            float(weight_table[pre_initiator] * weight_table[pre_responder])
-            * self._inv_wmax2
-        )
-        if accept < 1.0 and float(self._rng.random()) >= accept:
-            return 0, 0
-        return 1, self._apply_single(pre_initiator, pre_responder)
-
-
-class WeightedSuperBatchSimulator(_WeightedCountsMixin, SuperBatchSimulator):
-    """Collision-free-run engine with Binomial thinning per pair type."""
-
-    ENGINE_NAME = "superbatch"
-
-    def __init__(
-        self,
-        protocol,
-        n: int,
-        weights: Mapping[str, float],
-        seed: int | None = None,
-        **kwargs,
-    ) -> None:
-        self._init_weights(weights)
-        super().__init__(protocol, n, seed=seed, **kwargs)
 
     def _advance_block(self, budget: int, leader_target: int | None) -> int:
         """One thinned collision-free run plus its thinned collision.

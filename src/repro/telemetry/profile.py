@@ -1,7 +1,7 @@
 """Block-level hot-path profiles: per-stage wall-clock accumulation.
 
 A :class:`StageProfile` accumulates wall-clock per named engine stage —
-``sample`` / ``apply`` / ``detect`` / ``commit`` in the block engines,
+``sample`` / ``apply`` / ``detect`` / ``commit`` in the block engine,
 ``kernel_fill`` for pair-table fills in every kernel-backed engine,
 the ensemble included — behind the ``REPRO_TELEMETRY`` gate: disabled profiles hand
 out a shared no-op span (the :class:`~repro.telemetry.core.PhaseTimer`

@@ -1,7 +1,7 @@
 """Hierarchical span tracing over the JSONL event sink.
 
 Spans follow the orchestration hierarchy — campaign → cell → trial →
-engine stage (sample/apply/detect/commit in the block engines,
+engine stage (sample/apply/detect/commit in the block engine,
 pair-table fills in the kernels) — and
 are emitted as ordinary sink events, one JSON line per *closed* span:
 

@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.pll import PLLProtocol, VARIANTS
 from repro.core.symmetric import SymmetricPLLProtocol
-from repro.engine.batch import BatchSimulator
 from repro.engine.interner import StateInterner
 from repro.engine.kernel import (
     CompiledKernel,
@@ -27,6 +26,7 @@ from repro.engine.kernel.multiset import KernelMultisetSimulator
 from repro.engine.multiset import MultisetSimulator
 from repro.engine.protocol import LEADER
 from repro.engine.simulator import AgentSimulator
+from repro.engine.superbatch import SuperBatchSimulator
 from repro.errors import ConvergenceError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -285,11 +285,11 @@ class TestTrajectoryEquivalence:
             assert cached.state_id_counts() == kerneled.state_id_counts()
 
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_batch_paths_agree_exactly(self, seed):
-        cached = BatchSimulator(
+    def test_superbatch_paths_agree_exactly(self, seed):
+        cached = SuperBatchSimulator(
             build_protocol("pll", 1024), 1024, seed=seed, use_kernel=False
         )
-        kerneled = BatchSimulator(
+        kerneled = SuperBatchSimulator(
             build_protocol("pll", 1024), 1024, seed=seed, use_kernel=True
         )
         assert cached.run_until_stabilized() == kerneled.run_until_stabilized()

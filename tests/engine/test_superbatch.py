@@ -3,8 +3,10 @@
 Distributional agreement with the other engines lives in
 ``test_superbatch_agree.py``; this file pins the count-level mechanics:
 exact run-length sampling, pair-multiset margins, count-vector
-invariants across blocks, per-seed determinism, and the exact in-run
-leader truncation.
+invariants across blocks, per-seed determinism, the exact in-run
+leader truncation, and the count-vector base the engine runs on
+(configuration surface, stopping rules, the geometric null-run skip and
+checkpoint round-trips).
 """
 
 import numpy as np
@@ -14,13 +16,15 @@ from hypothesis import strategies as st
 
 from repro.analysis.stats import ks_critical_value, ks_statistic
 from repro.core.pll import PLLProtocol
+from repro.engine.convergence import SilenceDetector
 from repro.engine.superbatch import SuperBatchSimulator, SuperBatchStats
 from repro.engine.superbatch.sampling import (
     sample_run_length,
     sample_run_pairs,
     split_pair_multiset,
 )
-from repro.errors import SimulationError
+from repro.epidemic.epidemic import MaxPropagationProtocol
+from repro.errors import ConvergenceError, SimulationError
 from repro.protocols.angluin import AngluinProtocol
 from repro.protocols.majority import ApproximateMajority
 
@@ -152,6 +156,24 @@ class TestSplitPairMultiset:
             assert prefix.sum() == take
             assert (prefix <= weights).all()
 
+    @given(
+        weights=st.lists(st.integers(0, 50), min_size=1, max_size=8),
+        fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_nested_splits_stay_inside_the_run(self, weights, fraction, seed):
+        # The bisection splits a prefix again: every nested prefix must
+        # be a sub-multiset of the one it was split from.
+        rng = np.random.default_rng(seed)
+        run = np.asarray(weights, dtype=np.int64)
+        take = int(fraction * int(run.sum()))
+        prefix = split_pair_multiset(rng, run, take)
+        inner = split_pair_multiset(rng, prefix, take // 2)
+        assert prefix.sum() == take and inner.sum() == take // 2
+        assert (inner >= 0).all()
+        assert (inner <= prefix).all() and (prefix <= run).all()
+
 
 class TestSimulatorInvariants:
     @given(
@@ -261,6 +283,21 @@ class TestLeaderTruncation:
         deltas = np.array([-2], dtype=np.int64)
         assert sim._truncate_run(weight, deltas, lead=4, target=1) is None
 
+    def test_run_is_cut_at_the_exact_first_hit(self):
+        # Angluin from all leaders: every interaction of the first run
+        # is leader-meets-leader and costs one leader, so a target three
+        # below n is first hit at exactly the third interaction.
+        n = 256
+        cut = 0
+        for seed in range(6):
+            sim = SuperBatchSimulator(AngluinProtocol(), n, seed=seed)
+            applied = sim._advance_block(10_000, n - 3)
+            if sim.stats.truncated_runs:
+                cut += 1
+                assert applied == sim.steps == 3
+                assert sim.leader_count == n - 3
+        assert cut > 0
+
     def test_stabilization_truncates_runs(self):
         sim = SuperBatchSimulator(
             PLLProtocol.for_population(512), 512, seed=3
@@ -289,3 +326,150 @@ class TestStatsAccounting:
         sim.run(100_000)
         assert sim.stats.null_skipped_steps > 0
         assert sim.stats.blocks - before < 20
+
+
+class TestCountSurface:
+    def test_initial_configuration(self):
+        sim = SuperBatchSimulator(AngluinProtocol(), 16, seed=0)
+        assert sim.steps == 0
+        assert sim.leader_count == 16  # Angluin starts everyone as leader
+        assert sim.count_of(True) == 16
+        assert sim.count_of("never-seen") == 0
+
+    def test_run_executes_exactly_max_steps(self):
+        sim = SuperBatchSimulator(AngluinProtocol(), 64, seed=1)
+        assert sim.run(777) == 777
+        assert sim.steps == 777
+
+    def test_population_is_conserved(self):
+        sim = SuperBatchSimulator(PLLProtocol.for_population(128), 128, seed=2)
+        sim.run(5000)
+        assert sum(sim.state_counts().values()) == 128
+        assert sum(sim.output_counts.values()) == 128
+        assert all(count > 0 for count in sim.state_id_counts().values())
+
+    def test_describe_mentions_protocol_and_n(self):
+        sim = SuperBatchSimulator(AngluinProtocol(), 8, seed=0)
+        text = sim.describe()
+        assert "n=8" in text and sim.protocol.name in text
+
+    def test_load_counts_replaces_configuration(self):
+        sim = SuperBatchSimulator(MaxPropagationProtocol(), 32, seed=0)
+        sim.load_counts({0: 31, 1: 1})
+        assert sim.count_of(1) == 1
+        assert sim.output_counts["1"] == 1
+
+    def test_load_counts_validates_total(self):
+        sim = SuperBatchSimulator(MaxPropagationProtocol(), 32, seed=0)
+        with pytest.raises(SimulationError):
+            sim.load_counts({0: 3})
+
+    def test_load_counts_rejects_negative(self):
+        sim = SuperBatchSimulator(MaxPropagationProtocol(), 32, seed=0)
+        with pytest.raises(SimulationError):
+            sim.load_counts({0: 33, 1: -1})
+
+
+class TestStoppingRules:
+    def test_angluin_stabilizes_to_one_leader(self):
+        for seed in range(4):
+            sim = SuperBatchSimulator(AngluinProtocol(), 48, seed=seed)
+            steps = sim.run_until_stabilized()
+            assert sim.leader_count == 1
+            assert steps == sim.steps > 0
+
+    def test_n2_population_stabilizes(self):
+        sim = SuperBatchSimulator(AngluinProtocol(), 2, seed=0)
+        assert sim.run_until_stabilized() == sim.steps == 1
+        assert sim.leader_count == 1
+
+    def test_stabilized_before_start_returns_current_steps(self):
+        sim = SuperBatchSimulator(AngluinProtocol(), 24, seed=0)
+        first = sim.run_until_stabilized()
+        assert sim.run_until_stabilized() == first  # already stable: no-op
+
+    def test_budget_overrun_raises_convergence_error(self):
+        sim = SuperBatchSimulator(AngluinProtocol(), 64, seed=0)
+        with pytest.raises(ConvergenceError):
+            sim.run_until_stabilized(max_steps=5)
+        assert sim.steps == 5  # budget respected exactly
+
+    def test_until_predicate_stops_run(self):
+        sim = SuperBatchSimulator(AngluinProtocol(), 64, seed=3)
+        executed = sim.run(10_000_000, until=lambda s: s.leader_count <= 32)
+        assert sim.leader_count <= 32
+        assert executed < 10_000_000
+
+    def test_silence_detector_on_epidemic(self):
+        """Full infection is silent; the generic detector path finds it."""
+        sim = SuperBatchSimulator(MaxPropagationProtocol(), 64, seed=1)
+        sim.load_counts({0: 63, 1: 1})
+        sim.run_until_stabilized(detector=SilenceDetector())
+        assert sim.count_of(1) == 64
+
+
+class TestNullRunSkip:
+    def test_consensus_tail_is_skipped_geometrically(self):
+        sim = SuperBatchSimulator(ApproximateMajority(), 500, seed=3)
+        sim.load_counts({"x": 350, "y": 150})
+        assert sim.run(2_000_000) == 2_000_000
+        assert sim.output_counts.get("x", 0) == 500  # consensus reached
+        # The overwhelming majority of post-consensus steps must come from
+        # the geometric skip, not from sampled runs.
+        assert sim.stats.null_skipped_steps > 1_500_000
+
+    def test_silent_configuration_skips_the_whole_budget(self):
+        sim = SuperBatchSimulator(ApproximateMajority(), 100, seed=0)
+        sim.load_counts({"x": 100})  # silent from the start
+        sim.run(12345)  # warms up, then skips the silent remainder
+        assert sim.steps == 12345
+        assert sim.stats.null_skipped_steps > 12345 // 2
+        assert sim.count_of("x") == 100
+
+    def test_counts_untouched_by_silent_skip(self):
+        sim = SuperBatchSimulator(ApproximateMajority(), 100, seed=0)
+        sim.load_counts({"x": 60, "b": 40})
+        sim.run(3_000_000)
+        assert sum(sim.output_counts.values()) == 100
+        assert sim.output_counts.get("x", 0) == 100
+
+
+class TestCheckpointRoundTrip:
+    def test_restored_run_continues_bit_identically(self):
+        def fresh():
+            return SuperBatchSimulator(
+                PLLProtocol.for_population(256), 256, seed=11
+            )
+
+        original = fresh()
+        original.run(3000)
+        payload = original.checkpoint_state()
+        resumed = fresh()
+        resumed.restore_state(payload)
+        assert resumed.steps == original.steps == 3000
+        assert resumed.state_counts() == original.state_counts()
+        assert original.run_until_stabilized() == resumed.run_until_stabilized()
+        assert resumed.state_counts() == original.state_counts()
+        assert resumed.stats == original.stats
+
+    def test_round_trip_inside_the_null_run_regime(self):
+        # A snapshot taken while the geometric null-run skip is engaged
+        # must carry the mode: the resumed run keeps skipping exactly
+        # where the uninterrupted one does.  Six Angluin leaders among
+        # 500 agents: leader meetings are rare, so the skip applies them.
+        def fresh():
+            sim = SuperBatchSimulator(AngluinProtocol(), 500, seed=3)
+            sim.load_counts({True: 6, False: 494})
+            return sim
+
+        original = fresh()
+        original.run(20_000)
+        assert original._null_mode and original.stats.null_events > 0
+        payload = original.checkpoint_state()
+        resumed = fresh()
+        resumed.restore_state(payload)
+        assert resumed._null_mode
+        assert resumed.leader_count == original.leader_count
+        assert original.run_until_stabilized() == resumed.run_until_stabilized()
+        assert resumed.state_counts() == original.state_counts()
+        assert resumed.stats == original.stats

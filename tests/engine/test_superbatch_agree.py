@@ -3,10 +3,11 @@
 The super-batch engine samples the scheduler entirely at the count
 level — exact birthday run lengths, hypergeometric pair multisets,
 count-level collision replay — so a bias in any of those samplers would
-surface as a shifted stabilization-time distribution.  As with the
-batch engine, agreement is enforced with two-sample Kolmogorov–Smirnov
-tests at fixed seeds (strict alpha = 0.001: deterministic, failing only
-if a code change actually shifts a distribution).
+surface as a shifted stabilization-time distribution.  Agreement with
+the exact multiset chain and the per-agent scheduler is enforced with
+two-sample Kolmogorov–Smirnov tests at fixed seeds (strict
+alpha = 0.001: deterministic, failing only if a code change actually
+shifts a distribution).
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from repro.analysis.stats import ks_critical_value, ks_statistic
 from repro.core.pll import PLLProtocol
-from repro.engine import BatchSimulator, MultisetSimulator
+from repro.engine import AgentSimulator, MultisetSimulator
 from repro.engine.superbatch import SuperBatchSimulator
 from repro.protocols.angluin import AngluinProtocol
 
@@ -44,11 +45,11 @@ class TestSuperBatchAgreesOnAngluin:
     @pytest.fixture(scope="class")
     def samples(self):
         return {
+            "agent": stabilization_times(
+                AgentSimulator, AngluinProtocol, self.N, self.TRIALS, 0
+            ),
             "multiset": stabilization_times(
                 MultisetSimulator, AngluinProtocol, self.N, self.TRIALS, 1000
-            ),
-            "batch": stabilization_times(
-                BatchSimulator, AngluinProtocol, self.N, self.TRIALS, 2000
             ),
             "superbatch": stabilization_times(
                 SuperBatchSimulator, AngluinProtocol, self.N, self.TRIALS, 3000
@@ -62,10 +63,15 @@ class TestSuperBatchAgreesOnAngluin:
             "angluin superbatch/multiset",
         )
 
-    def test_superbatch_vs_batch(self, samples):
+    def test_superbatch_vs_agent(self, samples):
         assert_same_distribution(
-            samples["superbatch"], samples["batch"], "angluin superbatch/batch"
+            samples["superbatch"], samples["agent"], "angluin superbatch/agent"
         )
+
+    def test_every_trial_elects_one_leader(self, samples):
+        sim = SuperBatchSimulator(AngluinProtocol(), self.N, seed=3000)
+        sim.run_until_stabilized()
+        assert sim.leader_count == 1
 
 
 class TestSuperBatchAgreesOnPLL:
@@ -76,11 +82,11 @@ class TestSuperBatchAgreesOnPLL:
     def samples(self):
         factory = lambda: PLLProtocol.for_population(self.N)  # noqa: E731
         return {
+            "agent": stabilization_times(
+                AgentSimulator, factory, self.N, self.TRIALS, 0
+            ),
             "multiset": stabilization_times(
                 MultisetSimulator, factory, self.N, self.TRIALS, 1000
-            ),
-            "batch": stabilization_times(
-                BatchSimulator, factory, self.N, self.TRIALS, 2000
             ),
             "superbatch": stabilization_times(
                 SuperBatchSimulator, factory, self.N, self.TRIALS, 3000
@@ -94,9 +100,9 @@ class TestSuperBatchAgreesOnPLL:
             "pll superbatch/multiset",
         )
 
-    def test_superbatch_vs_batch(self, samples):
+    def test_superbatch_vs_agent(self, samples):
         assert_same_distribution(
-            samples["superbatch"], samples["batch"], "pll superbatch/batch"
+            samples["superbatch"], samples["agent"], "pll superbatch/agent"
         )
 
     def test_every_trial_elects_one_leader(self, samples):

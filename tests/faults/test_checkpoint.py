@@ -23,7 +23,7 @@ class SimulatedKill(BaseException):
     minus the process teardown)."""
 
 
-def spec_for(tmp_path, engine="batch", fault_plan=None, seed=0):
+def spec_for(tmp_path, engine="superbatch", fault_plan=None, seed=0):
     return TrialSpec.create(
         "pll", 256, seed, engine=engine, fault_plan=fault_plan
     )
@@ -51,10 +51,9 @@ class TestGating:
         enable(monkeypatch, tmp_path)
         assert make_checkpointer(spec_for(tmp_path, engine=engine)) is None
 
-    @pytest.mark.parametrize("engine", ["batch", "superbatch"])
-    def test_enabled_for_block_engines(self, monkeypatch, tmp_path, engine):
+    def test_enabled_for_the_block_engine(self, monkeypatch, tmp_path):
         enable(monkeypatch, tmp_path)
-        spec = spec_for(tmp_path, engine=engine)
+        spec = spec_for(tmp_path)
         checkpointer = make_checkpointer(spec)
         assert checkpointer is not None
         assert checkpointer.path.name == f"{spec.content_hash()}.ckpt"
@@ -141,10 +140,11 @@ class TestSnapshotHygiene:
         assert checkpointer.load() is None
         assert not path.exists()
 
-    def test_engine_mismatch_refuses_restore(self, monkeypatch, tmp_path):
+    def test_retired_batch_checkpoint_is_refused(
+        self, monkeypatch, tmp_path, caplog
+    ):
         enable(monkeypatch, tmp_path)
-        batch_spec = spec_for(tmp_path, engine="batch")
-        checkpointer = make_checkpointer(batch_spec)
+        checkpointer = make_checkpointer(spec_for(tmp_path))
 
         class FakeSim:
             ENGINE_NAME = "superbatch"
@@ -152,7 +152,11 @@ class TestSnapshotHygiene:
         checkpointer.path.write_bytes(
             pickle.dumps({"version": 1, "engine": "batch", "sim": {}, "injector": None})
         )
-        assert checkpointer.restore(FakeSim()) is False
+        with caplog.at_level("WARNING", logger="repro.faults.checkpoint"):
+            assert checkpointer.restore(FakeSim()) is False
+        assert "'batch' engine (a retired engine)" in caplog.text
+        assert "starting the trial from scratch" in caplog.text
+        assert not checkpointer.path.exists()
 
 
 class TestSweepOrphans:

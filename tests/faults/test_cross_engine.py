@@ -3,8 +3,8 @@
 The count-level fault path (multivariate hypergeometric on the count
 vector) and the per-agent path realize the same distributions, and the
 segment driver measures recovery exactly to the interaction on every
-engine — so recovery-time distributions must agree across multiset,
-batch and superbatch.  Engines use different RNG consumption patterns,
+engine — so recovery-time distributions must agree across multiset
+and superbatch.  Engines use different RNG consumption patterns,
 so agreement is distributional (two-sample KS), not per-seed equality.
 """
 
@@ -17,10 +17,10 @@ from repro.orchestration.pool import measure_trial
 from repro.orchestration.registry import build_protocol
 from repro.orchestration.spec import trial_specs
 
-ENGINES = ("multiset", "batch", "superbatch")
+ENGINES = ("multiset", "superbatch")
 SEEDS = 25
-#: Per-pair significance for the KS agreement check.  With 3 engine
-#: pairs per protocol a true-null failure is ~3 * alpha; 0.005 keeps
+#: Significance of the KS agreement check (one engine pair per
+#: protocol); 0.005 keeps
 #: the suite's flake budget tiny while a wrong-distribution bug (e.g.
 #: off-by-one segment accounting) drives p to ~0 at these sample sizes.
 ALPHA = 0.005
@@ -96,11 +96,11 @@ class TestDegradationRouting:
         """A non-exchangeable plan forced onto the agent engine records
         the engine `auto` would have picked, so the store row explains
         why a production-scale spec ran per-agent.  default_engine is
-        monkeypatched so the check doesn't need a BATCH_ENGINE_MIN_N
+        monkeypatched so the check doesn't need a SUPERBATCH_ENGINE_MIN_N
         population."""
         import repro.orchestration.pool as pool
 
-        monkeypatch.setattr(pool, "default_engine", lambda n: "batch")
+        monkeypatch.setattr(pool, "default_engine", lambda n: "superbatch")
         plan = FaultPlan.create(
             [{"kind": "corrupt", "at_step": 100, "agents": [1, 5]}]
         )
@@ -111,7 +111,7 @@ class TestDegradationRouting:
             engine="agent",
             fault_plan=plan,
         )
-        assert json.loads(outcome.faults)["degraded_from"] == "batch"
+        assert json.loads(outcome.faults)["degraded_from"] == "superbatch"
 
     def test_no_degradation_note_when_agent_is_the_natural_pick(self, monkeypatch):
         import repro.orchestration.pool as pool

@@ -22,7 +22,7 @@ def plan_of(*events):
 
 
 class TestCountLevelApplication:
-    @pytest.mark.parametrize("engine", ["multiset", "batch", "superbatch"])
+    @pytest.mark.parametrize("engine", ["multiset", "superbatch"])
     def test_corrupt_conserves_population(self, engine):
         sim = simulator(engine)
         sim.run(200)
@@ -36,7 +36,7 @@ class TestCountLevelApplication:
         # Replacements are drawn from the states that were present.
         assert set(after) <= set(before)
 
-    @pytest.mark.parametrize("engine", ["multiset", "batch", "superbatch"])
+    @pytest.mark.parametrize("engine", ["multiset", "superbatch"])
     def test_churn_moves_victims_to_initial_state(self, engine):
         sim = simulator(engine)
         sim.run(500)
@@ -148,7 +148,7 @@ class TestRngIsolation:
 
 
 class TestDriveAndRecords:
-    @pytest.mark.parametrize("engine", ["multiset", "batch", "superbatch", "agent"])
+    @pytest.mark.parametrize("engine", ["multiset", "superbatch", "agent"])
     def test_drive_records_recovery(self, engine):
         n = 128
         sim = build_simulator(
@@ -191,7 +191,10 @@ class TestDriveAndRecords:
                     event["recovery_steps"] / n
                 )
         assert "degraded_from" not in payload
-        assert json.loads(injector.to_json("batch"))["degraded_from"] == "batch"
+        assert (
+            json.loads(injector.to_json("superbatch"))["degraded_from"]
+            == "superbatch"
+        )
 
     def test_state_dict_round_trip(self):
         n = 64

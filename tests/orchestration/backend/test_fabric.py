@@ -149,7 +149,7 @@ class TestCheckpointComposition:
         checkpoint), its lease is released/expired, and the reclaiming
         worker's engine resumes from the checkpoint — finishing with the
         bit-identical outcome the uninterrupted run produces."""
-        spec = TrialSpec.create("pll", 256, 0, engine="batch")
+        spec = TrialSpec.create("pll", 256, 0, engine="superbatch")
         baseline = execute_trial(spec)
 
         ckpt_dir = tmp_path / "ckpt"

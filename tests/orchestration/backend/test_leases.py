@@ -153,7 +153,7 @@ class TestRenewer:
             add_beat_listener(renewer)
             try:
                 heartbeat = make_heartbeat(
-                    engine="batch",
+                    engine="superbatch",
                     protocol="angluin",
                     n=8,
                     seed=0,
@@ -176,7 +176,7 @@ class TestRenewer:
         assert beat_listeners() == ()
         assert (
             make_heartbeat(
-                engine="batch",
+                engine="superbatch",
                 protocol="angluin",
                 n=8,
                 seed=0,
@@ -194,7 +194,7 @@ class TestRenewer:
         add_beat_listener(explode)
         try:
             heartbeat = make_heartbeat(
-                engine="batch",
+                engine="superbatch",
                 protocol="angluin",
                 n=8,
                 seed=0,

@@ -43,7 +43,7 @@ class TestHashStability:
 
 
 class TestStoreResumability:
-    @pytest.mark.parametrize("engine", ["multiset", "batch", "agent"])
+    @pytest.mark.parametrize("engine", ["multiset", "superbatch", "agent"])
     def test_cached_path_store_resumes_under_the_kernel(
         self, store, engine, monkeypatch
     ):
@@ -61,7 +61,7 @@ class TestStoreResumability:
         assert resumed.cached == len(specs)
         assert resumed.outcomes == legacy.outcomes
 
-    @pytest.mark.parametrize("engine", ["multiset", "batch"])
+    @pytest.mark.parametrize("engine", ["multiset", "superbatch"])
     def test_kernel_outcomes_match_the_cached_path(self, engine, monkeypatch):
         specs = specs_for(engine=engine)
         kernel_report = run_specs(specs)

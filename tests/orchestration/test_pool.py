@@ -43,8 +43,14 @@ class TestBuildSimulator:
         with pytest.raises(ExperimentError, match="superbatch"):
             build_simulator(AngluinProtocol(), 64, seed=0, engine="warp")
 
+    def test_retired_batch_engine_is_rejected(self):
+        with pytest.raises(ExperimentError, match="retired") as info:
+            build_simulator(AngluinProtocol(), 64, seed=0, engine="batch")
+        assert "'multiset'" in str(info.value)
+        assert "'superbatch'" in str(info.value)
+
     @pytest.mark.parametrize(
-        "engine", ["auto", "agent", "multiset", "batch", "superbatch", "ensemble"]
+        "engine", ["auto", "agent", "multiset", "superbatch", "ensemble"]
     )
     def test_rejects_populations_numpy_cannot_sample(self, engine):
         # The path `repro simulate` takes without a spec: the numpy

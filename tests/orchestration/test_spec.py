@@ -6,7 +6,6 @@ from repro.errors import ExperimentError
 from repro.orchestration.registry import register_protocol
 from repro.orchestration.spec import (
     AUTO_ENGINE,
-    BATCH_ENGINE_MIN_N,
     MAX_POPULATION,
     SUPERBATCH_ENGINE_MIN_N,
     ENGINES,
@@ -135,35 +134,72 @@ class TestTrialSpecs:
         with pytest.raises(ExperimentError):
             trial_specs("angluin", 8, trials=0)
 
-    def test_batch_engine_is_a_first_class_spec_engine(self):
-        assert "batch" in ENGINES
-        batch = spec(engine="batch")
-        assert batch.engine == "batch"
-        assert batch.content_hash() != spec().content_hash()
+    @pytest.mark.parametrize("make", [
+        lambda: spec(engine="batch"),
+        lambda: trial_specs("angluin", 8, trials=1, engine="batch"),
+        lambda: CampaignSpec.from_grid("c", "angluin", [8], 1, engine="batch"),
+    ])
+    def test_retired_batch_engine_is_refused_at_creation(self, make):
+        assert "batch" not in ENGINES
+        with pytest.raises(ExperimentError, match="retired") as info:
+            make()
+        assert "'multiset'" in str(info.value)
+        assert "'superbatch'" in str(info.value)
 
 
 class TestAutoEngine:
     def test_default_engine_crossover(self):
-        assert default_engine(BATCH_ENGINE_MIN_N - 1) == "multiset"
-        assert default_engine(BATCH_ENGINE_MIN_N) == "batch"
+        assert default_engine(SUPERBATCH_ENGINE_MIN_N - 1) == "multiset"
+        assert default_engine(SUPERBATCH_ENGINE_MIN_N) == "superbatch"
 
-    def test_crossovers_are_the_measured_constants(self):
-        assert (BATCH_ENGINE_MIN_N, SUPERBATCH_ENGINE_MIN_N) == (1 << 16, 10**6)
+    def test_crossover_is_the_measured_constant(self):
+        assert SUPERBATCH_ENGINE_MIN_N == 1 << 18
         resolved = [
             default_engine(n)
-            for n in (2, (1 << 16) - 1, 1 << 16, 10**6 - 1, 10**6, 10**8)
+            for n in (2, (1 << 18) - 1, 1 << 18, 10**6, 10**8)
         ]
         assert resolved == [
-            "multiset", "multiset", "batch", "batch", "superbatch", "superbatch"
+            "multiset", "multiset", "superbatch", "superbatch", "superbatch"
         ]
 
-    def test_default_engine_resolves_three_regimes(self):
-        # multiset below the batch crossover, batch in the middle,
-        # count-level superbatch from its own measured crossover up.
-        assert BATCH_ENGINE_MIN_N < SUPERBATCH_ENGINE_MIN_N
-        assert default_engine(SUPERBATCH_ENGINE_MIN_N - 1) == "batch"
-        assert default_engine(SUPERBATCH_ENGINE_MIN_N) == "superbatch"
-        assert default_engine(10 * SUPERBATCH_ENGINE_MIN_N) == "superbatch"
+    def test_default_engine_resolves_two_regimes(self):
+        # The resolution outside [2^16, 10^6) is what it was with the
+        # retired middle regime, so those specs keep their hashes.
+        for n in (2, 64, 2048, (1 << 16) - 1):
+            assert default_engine(n) == "multiset"
+        for n in (10**6, 1 << 20, 10**8):
+            assert default_engine(n) == "superbatch"
+        assert {
+            default_engine(n) for n in range(1 << 16, 10**6, 997)
+        } == {"multiset", "superbatch"}
+
+    #: ``auto`` PLL specs (seed 0) and their content hashes while the
+    #: batch engine held the middle regime [2^16, 10^6).
+    THREE_REGIME_HASHES = {
+        (1 << 16) - 1: "ab8b3272d896b640a2a8ab5855027f69fbd45af1af3a9f64bf689d4e75a3fa7b",
+        1 << 16: "be6b3b50487aa5e9d81a88a26a5c14f87822fc6a48d4eff5dadbc078984d2f88",
+        1 << 18: "00f46f3a5209314fa72409d351d0f24f397a7c3e6768207e61966ff5838039bf",
+        10**6 - 1: "9e303e1e195ed2cf34c9c8d6900e9961137580407e3e031d0b44d382311b3b17",
+        10**6: "de168ad1a1d9dd51aa3370fd7a9597a13d37124350fdaa4971702bf6b90370cf",
+    }
+
+    @pytest.mark.parametrize("n", [(1 << 16) - 1, 10**6])
+    def test_auto_hashes_outside_the_retired_regime_are_unchanged(self, n):
+        (auto,) = trial_specs("pll", n, trials=1, engine=AUTO_ENGINE)
+        assert auto.content_hash() == self.THREE_REGIME_HASHES[n]
+
+    @pytest.mark.parametrize("n", [1 << 16, 1 << 18, 10**6 - 1])
+    def test_auto_specs_in_the_retired_regime_rehash_once(self, n):
+        # These cells recompute once, under the engine auto now picks;
+        # their old rows keep the batch hash they were stored under.
+        (auto,) = trial_specs("pll", n, trials=1, engine=AUTO_ENGINE)
+        assert auto.content_hash() != self.THREE_REGIME_HASHES[n]
+        assert auto.content_hash() == spec(
+            protocol="pll", n=n, engine=default_engine(n)
+        ).content_hash()
+        assert TrialSpec("pll", n, 0, engine="batch").content_hash() == (
+            self.THREE_REGIME_HASHES[n]
+        )
 
     def test_auto_resolves_superbatch_specs_per_n(self):
         specs = trial_specs(
@@ -178,10 +214,10 @@ class TestAutoEngine:
     def test_auto_resolves_per_population_size(self):
         small = trial_specs("angluin", 64, trials=1, engine=AUTO_ENGINE)
         large = trial_specs(
-            "angluin", BATCH_ENGINE_MIN_N, trials=1, engine=AUTO_ENGINE
+            "angluin", SUPERBATCH_ENGINE_MIN_N, trials=1, engine=AUTO_ENGINE
         )
         assert [s.engine for s in small] == ["multiset"]
-        assert [s.engine for s in large] == ["batch"]
+        assert [s.engine for s in large] == ["superbatch"]
 
     def test_auto_hashes_match_the_resolved_engine(self):
         # 'auto' is sugar, not identity: specs resolved from it must share
@@ -205,11 +241,11 @@ class TestAutoEngine:
 
     def test_from_grid_resolves_auto_per_n(self):
         campaign = CampaignSpec.from_grid(
-            "c", "angluin", [64, BATCH_ENGINE_MIN_N], trials=1,
+            "c", "angluin", [64, SUPERBATCH_ENGINE_MIN_N], trials=1,
             engine=AUTO_ENGINE,
         )
         engines = {s.n: s.engine for s in campaign.trials}
-        assert engines == {64: "multiset", BATCH_ENGINE_MIN_N: "batch"}
+        assert engines == {64: "multiset", SUPERBATCH_ENGINE_MIN_N: "superbatch"}
 
     def test_ensemble_resolves_to_multiset_specs(self):
         # 'ensemble' is an execution strategy: lanes are bit-identical to

@@ -110,14 +110,14 @@ class TestTrialStore:
         assert loaded.telemetry == '{"engine":"agent","steps":100}'
 
     def test_rows_exposes_spec_identity_and_outcome_columns(self):
-        spec = TrialSpec.create("pll", 64, 2, engine="batch")
+        spec = TrialSpec.create("pll", 64, 2, engine="superbatch")
         with TrialStore(":memory:") as store:
             store.put(spec, outcome_for(spec))
             (row,) = list(store.rows())
         assert row["protocol"] == "pll"
         assert row["n"] == 64
         assert row["seed"] == 2
-        assert row["engine"] == "batch"
+        assert row["engine"] == "superbatch"
         assert row["steps"] == 100
         assert row["duration"] == 0.0
         assert row["telemetry"] is None

@@ -23,7 +23,6 @@ PINNED = [
     ("angluin", 24, 0, "agent", "2b89b4add69decaa5cb1ce0f555ef52d4f06cfa982f1cba64f6c6e99b5e80c10"),
     ("angluin", 24, 1, "multiset", "e7e64675722ac4d62c82a805585aad97aef099268dbf61c9143d9a9b82ac3e2f"),
     ("pll", 64, 0, "multiset", "d6a1d72586450b4d90b9af62f2a7f618656d0383e0e71bae6a8c4075c7ad8d1c"),
-    ("pll", 256, 0, "batch", "7f4405a8297491412e7e7f2ac84dcd8e7afbdae60494418c10ed5570e68e6596"),
     ("pll", 256, 2, "superbatch", "a0af4d2e9d15987feed5f35fc3915252f9185ec208679ca8037c9b28e3baace1"),
     ("pll", 1000000, 0, "superbatch", "de168ad1a1d9dd51aa3370fd7a9597a13d37124350fdaa4971702bf6b90370cf"),
 ]

@@ -2,8 +2,7 @@
 
 The ladder's soundness claim is distributional: a state-weighted spec
 must induce the *same* stabilization-time law on every count-level
-engine (superbatch and batch thin whole blocks, multiset thins per
-step), and a graph spec's degraded per-agent run must match a direct
+engine (superbatch thins whole runs, multiset thins per step), and a graph spec's degraded per-agent run must match a direct
 scheduler-driven run of the same graph.  The multiset samples come
 through :func:`~repro.orchestration.pool.build_simulator`, so they grade
 the engine weighted specs really run on: the sorted-slot kernel engine
@@ -30,10 +29,7 @@ from repro.engine.simulator import AgentSimulator
 from repro.orchestration.pool import build_simulator
 from repro.orchestration.registry import build_protocol
 from repro.schedulers.spec import SchedulerSpec
-from repro.schedulers.weighted import (
-    WeightedBatchSimulator,
-    WeightedSuperBatchSimulator,
-)
+from repro.schedulers.weighted import WeightedSuperBatchSimulator
 
 #: Leaders meet 4x more often than weight-1 agents: accelerates the
 #: elimination phases, so the pinned trials stay fast while still
@@ -89,9 +85,6 @@ class TestWeightedLadderAgreesOnPLL:
             "multiset": built_multiset_times(
                 "pll", self.N, self.TRIALS, 1000
             ),
-            "batch": weighted_times(
-                WeightedBatchSimulator, "pll", self.N, self.TRIALS, 2000
-            ),
             "superbatch": weighted_times(
                 WeightedSuperBatchSimulator, "pll", self.N, self.TRIALS, 3000
             ),
@@ -102,13 +95,6 @@ class TestWeightedLadderAgreesOnPLL:
             samples["superbatch"],
             samples["multiset"],
             "pll weighted superbatch/multiset",
-        )
-
-    def test_batch_vs_multiset(self, samples):
-        assert_same_distribution(
-            samples["batch"],
-            samples["multiset"],
-            "pll weighted batch/multiset",
         )
 
     def test_every_trial_elects_one_leader(self):
@@ -129,9 +115,6 @@ class TestWeightedLadderAgreesOnAngluin:
             "multiset": built_multiset_times(
                 "angluin", self.N, self.TRIALS, 1000
             ),
-            "batch": weighted_times(
-                WeightedBatchSimulator, "angluin", self.N, self.TRIALS, 2000
-            ),
             "superbatch": weighted_times(
                 WeightedSuperBatchSimulator,
                 "angluin",
@@ -148,12 +131,6 @@ class TestWeightedLadderAgreesOnAngluin:
             "angluin weighted superbatch/multiset",
         )
 
-    def test_batch_vs_multiset(self, samples):
-        assert_same_distribution(
-            samples["batch"],
-            samples["multiset"],
-            "angluin weighted batch/multiset",
-        )
 
 
 class TestGraphDegradationAgreesWithDirectDrive:
@@ -212,7 +189,7 @@ class TestUniformSpecBitIdentity:
     SEED = 42
 
     @pytest.mark.parametrize(
-        "engine", ["agent", "multiset", "batch", "superbatch"]
+        "engine", ["agent", "multiset", "superbatch"]
     )
     def test_same_trajectory_on_every_engine(self, engine):
         uniform = SchedulerSpec.create("uniform")

@@ -105,13 +105,13 @@ class TestExchangeability:
 class TestDegradationLadder:
     def test_exchangeable_specs_keep_the_resolved_engine(self):
         weighted = SchedulerSpec.create("weighted", weights={"L": 2.0})
-        for engine in ("multiset", "batch", "superbatch"):
+        for engine in ("multiset", "superbatch"):
             assert resolve_schedule_engine(weighted, engine) == engine
         assert resolve_schedule_engine(None, "superbatch") == "superbatch"
 
     def test_graph_specs_degrade_to_agent(self):
         ring = SchedulerSpec.create("ring")
-        for engine in ("multiset", "batch", "superbatch", "ensemble"):
+        for engine in ("multiset", "superbatch", "ensemble"):
             assert resolve_schedule_engine(ring, engine) == "agent"
 
     def test_auto_trial_specs_ride_the_ladder(self):

@@ -49,14 +49,14 @@ class TestMakeHeartbeat:
     def test_built_when_enabled(self, monkeypatch):
         monkeypatch.delenv(TELEMETRY_ENV, raising=False)
         monkeypatch.setenv(HEARTBEAT_SECS_ENV, "2.5")
-        beat = make_heartbeat("batch", "pll", 64, 3, 1000)
+        beat = make_heartbeat("superbatch", "pll", 64, 3, 1000)
         assert beat is not None
         assert beat.interval == 2.5
 
     def test_garbage_interval_falls_back_to_default(self, monkeypatch):
         monkeypatch.delenv(TELEMETRY_ENV, raising=False)
         monkeypatch.setenv(HEARTBEAT_SECS_ENV, "not-a-float")
-        beat = make_heartbeat("batch", "pll", 64, 3, 1000)
+        beat = make_heartbeat("superbatch", "pll", 64, 3, 1000)
         assert beat is not None
         assert beat.interval == 1.0
 

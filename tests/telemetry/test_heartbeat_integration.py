@@ -40,13 +40,12 @@ def run_with_event_stream(
     [
         # (n, seed) is chosen per engine so the run crosses the engine's
         # beat-poll cadence (poll_mask + 1 steps on the per-interaction
-        # engines, every block on batch and superbatch) at least three
+        # engines, every block on superbatch) at least three
         # times before stabilizing; convergence time varies widely by
         # seed, so these seeds pin known-long runs.  "ensemble" builds
         # the solo multiset engine.
         ("agent", "pll", 1024, 1),
         ("multiset", "pll", 1024, 0),
-        ("batch", "pll", 512, 0),
         ("superbatch", "pll", 2048, 0),
         ("ensemble", "pll", 4096, 2),
     ],

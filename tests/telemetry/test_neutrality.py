@@ -65,7 +65,6 @@ def run_to_rows(specs, monkeypatch, telemetry, tmp_path=None):
         ("agent", "angluin", 24),
         ("multiset", "angluin", 24),
         ("multiset", "pll", 64),
-        ("batch", "pll", 256),
         ("superbatch", "pll", 256),
     ],
 )

@@ -161,26 +161,23 @@ class TestEndToEnd:
         execute_trial(spec)
         return load_profile_records(str(path))
 
-    def test_batch_and_superbatch_name_their_top_stages(
-        self, monkeypatch, tmp_path
-    ):
+    def test_superbatch_names_its_top_stages(self, monkeypatch, tmp_path):
         # The acceptance check: the aggregated profile names the top-2
-        # cost stages for a batch and a superbatch cell.
-        for engine in ("batch", "superbatch"):
-            records = self.run_trial(engine, 256, monkeypatch, tmp_path)
-            (record,) = [r for r in records if r["engine"] == engine]
-            top = top_stages(record, k=2)
-            assert len(top) == 2
-            assert set(top) <= {
-                "sample", "apply", "detect", "commit", "null", "kernel_fill"
-            }
-            assert record["profiled_seconds"] > 0.0
+        # cost stages for a superbatch cell.
+        records = self.run_trial("superbatch", 256, monkeypatch, tmp_path)
+        (record,) = [r for r in records if r["engine"] == "superbatch"]
+        top = top_stages(record, k=2)
+        assert len(top) == 2
+        assert set(top) <= {
+            "sample", "apply", "detect", "commit", "null", "kernel_fill"
+        }
+        assert record["profiled_seconds"] > 0.0
 
     def test_no_profile_events_when_telemetry_off(self, monkeypatch, tmp_path):
         path = tmp_path / "off.jsonl"
         monkeypatch.setenv(TELEMETRY_ENV, "0")
         monkeypatch.setenv(EVENTS_ENV, str(path))
-        spec = TrialSpec.create("pll", 256, 0, engine="batch")
+        spec = TrialSpec.create("pll", 256, 0, engine="superbatch")
         from repro.orchestration.pool import execute_trial
 
         execute_trial(spec)

@@ -30,7 +30,7 @@ def trace_env(monkeypatch, path):
     monkeypatch.setenv(EVENTS_ENV, str(path))
 
 
-def specs_for(seeds, engine="batch", n=128):
+def specs_for(seeds, engine="superbatch", n=128):
     return [
         TrialSpec.create("pll", n, seed, engine=engine) for seed in seeds
     ]
@@ -106,7 +106,7 @@ def test_resumed_campaign_never_reuses_span_ids(tmp_path):
         "from repro.orchestration.pool import run_specs\n"
         "from repro.orchestration.spec import TrialSpec\n"
         "from repro.orchestration.store import TrialStore\n"
-        "specs = [TrialSpec.create('pll', 128, seed, engine='batch')"
+        "specs = [TrialSpec.create('pll', 128, seed, engine='superbatch')"
         " for seed in range({seeds})]\n"
         "with TrialStore({store!r}) as store:\n"
         "    run_specs(specs, store=store)\n"

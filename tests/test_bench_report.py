@@ -20,94 +20,101 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_results():
-    rows = []
-    for engine in ("agent", "multiset", "batch"):
-        for use_kernel in (False, True):
-            rows.append(
-                report.measure_engine(
-                    engine, "angluin", 64, 2000, use_kernel=use_kernel
-                )
-            )
-    return rows
+    return [
+        report.measure_trial_cell(engine, "pll", 64, seeds=2)
+        for engine in report.GRID_ENGINES
+    ]
 
 
 class TestMeasurement:
-    def test_measure_engine_reports_throughput_and_cache(self):
-        row = report.measure_engine("batch", "angluin", 64, 2000)
-        assert row["engine"] == "batch"
-        assert row["steps"] == 2000
-        assert row["transitions"] == "kernel"  # angluin compiles one
-        assert row["steps_per_sec"] > 0
-        assert 0.0 <= row["cache"]["hit_rate"] <= 1.0
-        assert row["cache"]["hits"] + row["cache"]["misses"] >= 0
+    def test_trial_cell_records_every_trial(self):
+        row = report.measure_trial_cell("superbatch", "pll", 64, seeds=3, seed=5)
+        assert row["engine"] == "superbatch"
+        assert (row["protocol"], row["n"]) == ("pll", 64)
+        assert row["cap_steps"] == report.trial_cap(64) == 2 * 6 * 64
+        assert [trial["seed"] for trial in row["trials"]] == [5, 6, 7]
+        for trial in row["trials"]:
+            assert set(trial) == {
+                "seed", "seconds", "steps", "parallel_time",
+                "distinct_states", "censored",
+            }
+            assert trial["seconds"] > 0
+            assert 0 < trial["steps"] <= row["cap_steps"]
+            assert trial["parallel_time"] == trial["steps"] / 64
+            assert trial["distinct_states"] > 1
+            # A trial is censored exactly when it ran into the cap.
+            assert trial["censored"] == (trial["steps"] == row["cap_steps"])
 
-    def test_measure_engine_can_force_the_cached_path(self):
-        row = report.measure_engine(
-            "multiset", "angluin", 64, 2000, use_kernel=False
-        )
-        assert row["transitions"] == "cached"
+    def test_cell_rate_is_total_steps_over_total_seconds(self):
+        row = report.measure_trial_cell("multiset", "pll", 64, seeds=2)
+        steps = sum(trial["steps"] for trial in row["trials"])
+        seconds = sum(trial["seconds"] for trial in row["trials"])
+        assert row["steps"] == steps
+        assert row["seconds"] == pytest.approx(seconds)
+        assert row["steps_per_sec"] == pytest.approx(steps / seconds)
 
-    def test_summary_contains_cross_engine_ratios(self):
+    def test_capped_trials_are_censored(self, monkeypatch):
+        monkeypatch.setattr(report, "trial_cap", lambda n: 10)
+        row = report.measure_trial_cell("multiset", "pll", 64, seeds=2)
+        assert all(trial["censored"] for trial in row["trials"])
+        assert row["steps"] == 20
+
+    def test_summary_carries_the_engine_ratio(self):
         summary = report.summarize(tiny_results())
-        entry = summary["angluin/n=64"]
-        assert set(entry) >= {
-            "agent",
-            "multiset",
-            "batch",
-            "batch_vs_multiset",
-            "batch_vs_agent",
-            "kernel_vs_cached",
-        }
-        assert entry["batch_vs_multiset"] == pytest.approx(
-            entry["batch"] / entry["multiset"]
+        entry = summary["pll/n=64"]
+        assert set(entry) == {"multiset", "superbatch", "superbatch_vs_multiset"}
+        assert entry["superbatch_vs_multiset"] == pytest.approx(
+            entry["superbatch"] / entry["multiset"]
         )
-        assert set(entry["kernel_vs_cached"]) == {"agent", "multiset", "batch"}
 
-    def test_summary_engine_rates_are_the_kernel_rows(self):
-        rows = tiny_results()
-        summary = report.summarize(rows)
-        kernel_rate = next(
-            row["steps_per_sec"]
-            for row in rows
-            if row["engine"] == "multiset" and row["transitions"] == "kernel"
-        )
-        assert summary["angluin/n=64"]["multiset"] == kernel_rate
+
+    def test_summary_has_no_ratio_for_a_one_engine_cell(self):
+        only = [row for row in tiny_results() if row["engine"] == "multiset"]
+        entry = report.summarize(only)["pll/n=64"]
+        assert set(entry) == {"multiset"}
 
 
 class TestEngineRatioGate:
-    def fake_report(self, key, *cells):
+    KEY = "superbatch_vs_multiset"
+
+    def fake_report(self, *cells):
         return {
-            "summary": {f"pll/n={n}": {key: ratio} for n, ratio in cells}
+            "summary": {f"pll/n={n}": {self.KEY: ratio} for n, ratio in cells}
         }
 
-    def test_passes_when_batch_is_faster(self):
-        fake = self.fake_report("batch_vs_multiset", (64, 2.0))
-        assert report.check_engine_ratio(fake, "batch", "multiset", 1.0) is None
+    def test_passes_when_superbatch_is_faster(self):
+        fake = self.fake_report((262144, 1.4))
+        assert report.check_engine_ratio(fake, "superbatch", "multiset", 1.0) is None
 
-    def test_fails_when_batch_is_slower(self):
-        fake = self.fake_report("batch_vs_multiset", (64, 0.9))
-        error = report.check_engine_ratio(fake, "batch", "multiset", 1.0)
+    def test_fails_when_superbatch_is_slower(self):
+        fake = self.fake_report((262144, 0.9))
+        error = report.check_engine_ratio(fake, "superbatch", "multiset", 1.0)
         assert error is not None and "0.90x" in error
 
     def test_grades_the_largest_n(self):
-        fake = self.fake_report("batch_vs_multiset", (64, 2.0), (1024, 0.5))
-        assert report.check_engine_ratio(fake, "batch", "multiset", 1.0)
-
-    def test_superbatch_passes_and_fails_on_its_ratio(self):
-        fake = self.fake_report("superbatch_vs_batch", (262144, 3.0))
-        assert report.check_engine_ratio(fake, "superbatch", "batch", 1.0) is None
-        error = report.check_engine_ratio(fake, "superbatch", "batch", 5.0)
-        assert error is not None and "3.00x" in error
+        fake = self.fake_report((1024, 9.0), (262144, 0.5))
+        assert report.check_engine_ratio(fake, "superbatch", "multiset", 1.0)
 
     def test_grades_the_largest_cell_with_both_engines(self):
-        fake = self.fake_report(
-            "superbatch_vs_batch", (1024, 9.0), (100_000_000, 0.5)
-        )
-        assert report.check_engine_ratio(fake, "superbatch", "batch", 1.0)
+        # A larger cell measured on one engine only carries no ratio;
+        # the gate falls back to the largest cell that has one.
+        fake = self.fake_report((262144, 1.4))
+        fake["summary"]["pll/n=1048576"] = {"multiset": 500.0}
+        assert report.check_engine_ratio(fake, "superbatch", "multiset", 1.0) is None
+        fake["summary"]["pll/n=262144"][self.KEY] = 0.8
+        error = report.check_engine_ratio(fake, "superbatch", "multiset", 1.0)
+        assert error is not None and "n=262144" in error
+
+    def test_grades_only_the_check_protocol(self):
+        fake = self.fake_report((262144, 1.4))
+        fake["summary"]["angluin/n=1048576"] = {self.KEY: 0.1}
+        assert report.check_engine_ratio(fake, "superbatch", "multiset", 1.0) is None
 
     def test_missing_ratio_is_an_error(self):
-        error = report.check_engine_ratio({"summary": {}}, "superbatch", "batch", 1.0)
-        assert error is not None and "superbatch_vs_batch" in error
+        error = report.check_engine_ratio(
+            {"summary": {}}, "superbatch", "multiset", 1.0
+        )
+        assert error is not None and self.KEY in error
 
 
 class TestTrialsSection:
@@ -189,8 +196,8 @@ class TestKernelSection:
         assert modes == {
             ("multiset", "cold-pairs"),
             ("multiset", "trials"),
-            ("batch", "cold-pairs"),
-            ("batch", "trials"),
+            ("superbatch", "cold-pairs"),
+            ("superbatch", "trials"),
         }
         for row in section["results"]:
             assert row["kernel_vs_cached"] == pytest.approx(
@@ -204,7 +211,7 @@ class TestKernelSection:
                 "results": [
                     {"engine": "multiset", "mode": "cold-pairs",
                      "kernel_vs_cached": 3.0},
-                    {"engine": "batch", "mode": "cold-pairs",
+                    {"engine": "superbatch", "mode": "cold-pairs",
                      "kernel_vs_cached": 2.5},
                 ],
             }
@@ -218,13 +225,13 @@ class TestKernelSection:
                 "results": [
                     {"engine": "multiset", "mode": "cold-pairs",
                      "kernel_vs_cached": 3.0},
-                    {"engine": "batch", "mode": "cold-pairs",
+                    {"engine": "superbatch", "mode": "cold-pairs",
                      "kernel_vs_cached": 0.7},
                 ],
             }
         }
         error = report.check_kernel_speedup(fake, min_ratio=1.0)
-        assert error is not None and "batch" in error
+        assert error is not None and "superbatch" in error
 
     def test_missing_section_is_an_error(self):
         error = report.check_kernel_speedup({"results": []}, 1.0)
@@ -336,11 +343,10 @@ class TestOverheadGate:
             ("schedulers", "weighted", 1.10),
         )
         assert (
-            report.MIN_BATCH_RATIO,
             report.MIN_SUPERBATCH_RATIO,
             report.MIN_TRIALS_RATIO,
             report.MIN_KERNEL_RATIO,
-        ) == (1.0, 1.0, 1.0, 1.0)
+        ) == (1.0, 1.0, 1.0)
         repeats = {
             section: repeats
             for section, (_runs, repeats) in report.OVERHEAD_SECTIONS.items()
@@ -357,100 +363,54 @@ def rows(*cells):
     ]
 
 
-class TestDeriveCrossovers:
-    def test_smallest_n_where_batch_stays_fastest(self):
-        record = {
-            "results": rows(
-                (1024, {"agent": 500.0, "multiset": 200.0, "batch": 100.0}),
-                (65536, {"agent": 500.0, "multiset": 200.0, "batch": 800.0}),
-                (1_000_000, {"agent": 400.0, "multiset": 200.0, "batch": 1600.0}),
-            )
-        }
-        assert report.derive_crossovers(record)[0] == 65536
+def trial_row(engine, n, *trials):
+    """A whole-trial grid row from (seconds, steps) trials."""
+    seconds = sum(trial[0] for trial in trials)
+    steps = sum(trial[1] for trial in trials)
+    return {
+        "engine": engine,
+        "protocol": "pll",
+        "n": n,
+        "cap_steps": report.trial_cap(n),
+        "trials": [
+            {"seed": seed, "seconds": secs, "steps": count,
+             "parallel_time": count / n, "distinct_states": 300,
+             "censored": count == report.trial_cap(n)}
+            for seed, (secs, count) in enumerate(trials)
+        ],
+        "seconds": seconds,
+        "steps": steps,
+        "steps_per_sec": steps / seconds,
+    }
 
-    def test_batch_win_must_hold_at_every_larger_n(self):
+
+class TestDeriveCrossovers:
+    def test_crossover_between_two_measured_sizes(self):
+        # Whole trials: multiset still wins at 2^16, superbatch clears
+        # the margin from 2^17 up, so the regime starts at 2^17.
+        record = {
+            "results": [
+                trial_row("multiset", 1 << 16, (1.9, 2_000_000), (2.1, 2_097_152)),
+                trial_row("superbatch", 1 << 16, (2.6, 1_300_000), (2.8, 2_097_152)),
+                trial_row("multiset", 1 << 17, (5.0, 4_456_448), (3.0, 2_000_000)),
+                trial_row("superbatch", 1 << 17, (3.5, 4_456_448), (2.0, 2_500_000)),
+                trial_row("multiset", 1 << 18, (12.0, 9_437_184), (8.0, 5_000_000)),
+                trial_row("superbatch", 1 << 18, (7.0, 9_437_184), (4.0, 5_000_000)),
+            ]
+        }
+        assert report.derive_crossovers(record) == 1 << 17
+
+    def test_win_must_hold_at_every_larger_n(self):
         # A win at mid n that collapses at large n does not move the
         # threshold down: auto must not route big sweeps to a loser.
         record = {
             "results": rows(
-                (1024, {"agent": 100.0, "batch": 150.0}),
-                (65536, {"agent": 500.0, "batch": 300.0}),
-                (1_000_000, {"agent": 400.0, "batch": 1600.0}),
+                (1024, {"multiset": 100.0, "superbatch": 150.0}),
+                (65536, {"multiset": 500.0, "superbatch": 300.0}),
+                (1 << 20, {"multiset": 400.0, "superbatch": 1600.0}),
             )
         }
-        assert report.derive_crossovers(record)[0] == 1_000_000
-
-    def test_superbatch_rows_do_not_erase_the_batch_regime(self):
-        # The batch crossover grades batch against the per-interaction
-        # engines only: superbatch out-running batch at the top of the
-        # grid must not push the batch threshold upward.
-        record = {
-            "results": rows(
-                (1024, {"agent": 500.0, "batch": 100.0, "superbatch": 50.0}),
-                (65536, {"agent": 300.0, "batch": 800.0, "superbatch": 700.0}),
-                (1_000_000, {"agent": 200.0, "batch": 900.0, "superbatch": 5000.0}),
-            )
-        }
-        assert report.derive_crossovers(record) == (65536, 1_000_000)
-
-    def test_quick_reports_derive_nothing(self):
-        record = {
-            "quick": True,
-            "results": rows(
-                (16384, {"agent": 100.0, "batch": 800.0, "superbatch": 900.0}),
-            ),
-        }
-        assert report.derive_crossovers(record) == (None, None)
-
-    def test_none_when_batch_never_wins(self):
-        record = {"results": rows((1024, {"agent": 500.0, "batch": 100.0}))}
-        assert report.derive_crossovers(record) == (None, None)
-
-    def test_none_for_empty_or_alien_reports(self):
-        assert report.derive_crossovers({}) == (None, None)
-        alien = {"results": [{"protocol": "angluin"}]}
-        assert report.derive_crossovers(alien) == (None, None)
-
-    def test_ignores_malformed_rows(self):
-        record = {
-            "results": rows((65536, {"agent": 100.0, "batch": 800.0}))
-            + [
-                {"engine": "batch", "protocol": "pll", "n": "not-a-number"},
-                {"engine": "agent", "protocol": "pll", "n": 65536},
-                {"engine": None, "protocol": "pll", "n": 65536,
-                 "steps_per_sec": 1e9},
-            ]
-        }
-        assert report.derive_crossovers(record)[0] == 65536
-
-    def test_kernel_rows_win_over_cached_rows(self):
-        # auto builds the kernel path, so its rate is the one graded.
-        record = {
-            "results": [
-                {"engine": "multiset", "protocol": "pll", "n": 65536,
-                 "transitions": "kernel", "steps_per_sec": 900.0},
-                {"engine": "multiset", "protocol": "pll", "n": 65536,
-                 "transitions": "cached", "steps_per_sec": 100.0},
-                {"engine": "batch", "protocol": "pll", "n": 65536,
-                 "transitions": "cached", "steps_per_sec": 500.0},
-            ]
-        }
-        assert report.derive_crossovers(record)[0] is None
-
-    def test_superbatch_must_beat_every_other_engine(self):
-        # Beating batch alone is not enough: a cell where the multiset
-        # engine still wins keeps the threshold above it.
-        record = {
-            "results": rows(
-                (65536, {"multiset": 900.0, "batch": 800.0, "superbatch": 850.0}),
-                (1_000_000, {"multiset": 700.0, "batch": 1400.0, "superbatch": 3000.0}),
-            )
-        }
-        assert report.derive_crossovers(record)[1] == 1_000_000
-
-    def test_none_without_superbatch_rows(self):
-        record = {"results": rows((1_000_000, {"agent": 1.0, "batch": 2.0}))}
-        assert report.derive_crossovers(record)[1] is None
+        assert report.derive_crossovers(record) == 1 << 20
 
     def test_noise_level_wins_do_not_extend_the_regime(self):
         # Engine resolution feeds spec content hashes: a 2% win at one
@@ -458,26 +418,97 @@ class TestDeriveCrossovers:
         # SUPERBATCH_WIN_MARGIN (1.1x) move the boundary down.
         record = {
             "results": rows(
-                (65536, {"batch": 944.0, "superbatch": 963.0}),
-                (1_000_000, {"batch": 1845.0, "superbatch": 4160.0}),
+                (65536, {"multiset": 944.0, "superbatch": 963.0}),
+                (1 << 20, {"multiset": 700.0, "superbatch": 2600.0}),
             )
         }
         assert report.SUPERBATCH_WIN_MARGIN == 1.1
-        assert report.derive_crossovers(record)[1] == 1_000_000
+        assert report.derive_crossovers(record) == 1 << 20
+
+    def test_quick_reports_derive_nothing(self):
+        record = {
+            "quick": True,
+            "results": rows((1 << 18, {"multiset": 100.0, "superbatch": 900.0})),
+        }
+        assert report.derive_crossovers(record) is None
+
+    def test_none_when_superbatch_never_wins(self):
+        record = {"results": rows((1024, {"multiset": 500.0, "superbatch": 100.0}))}
+        assert report.derive_crossovers(record) is None
+
+    def test_none_without_superbatch_rows(self):
+        record = {"results": rows((1 << 18, {"multiset": 500.0}))}
+        assert report.derive_crossovers(record) is None
+
+    def test_smallest_measured_n_when_superbatch_always_wins(self):
+        record = {
+            "results": rows(
+                (1024, {"multiset": 100.0, "superbatch": 150.0}),
+                (1 << 18, {"multiset": 400.0, "superbatch": 1600.0}),
+            )
+        }
+        assert report.derive_crossovers(record) == 1024
+
+    def test_none_for_empty_or_alien_reports(self):
+        assert report.derive_crossovers({}) is None
+        alien = {"results": [{"protocol": "angluin"}]}
+        assert report.derive_crossovers(alien) is None
+
+    def test_ignores_malformed_rows(self):
+        record = {
+            "results": rows((1 << 18, {"multiset": 100.0, "superbatch": 800.0}))
+            + [
+                {"engine": "superbatch", "protocol": "pll", "n": "not-a-number"},
+                {"engine": "multiset", "protocol": "pll", "n": 1 << 18},
+                {"engine": None, "protocol": "pll", "n": 1 << 18,
+                 "steps_per_sec": 1e9},
+            ]
+        }
+        assert report.derive_crossovers(record) == 1 << 18
 
 
 class TestCommittedRecord:
     def committed(self):
         return json.loads((REPO_ROOT / "BENCH_engine.json").read_text())
 
-    def test_committed_record_derives_autos_constants(self):
-        # The constants auto resolves engines with are code; the
-        # committed full-grid record must still measure them.
-        assert report.derive_crossovers(self.committed()) == (
-            spec.BATCH_ENGINE_MIN_N,
-            spec.SUPERBATCH_ENGINE_MIN_N,
-        )
-        assert report.check_crossovers(self.committed()) is None
+    def test_committed_record_derives_autos_constant(self):
+        # The constant auto resolves engines with is code; the committed
+        # full-grid record must still measure it.
+        record = self.committed()
+        assert record["schema"] == report.SCHEMA == "repro-bench-engine/10"
+        assert record["quick"] is False
+        assert report.derive_crossovers(record) == spec.SUPERBATCH_ENGINE_MIN_N
+        assert report.check_crossovers(record) is None
+
+    def test_grid_has_measured_cells_on_both_sides(self):
+        measured = {row["n"] for row in self.committed()["results"]}
+        assert min(measured) < spec.SUPERBATCH_ENGINE_MIN_N <= max(measured)
+
+    def test_record_measures_the_full_grid_on_both_engines(self):
+        record = self.committed()
+        measured = {
+            (row["protocol"], row["n"], row["engine"])
+            for row in record["results"]
+        }
+        assert measured == {
+            (protocol_name, n, engine)
+            for protocol_name, sizes in report.FULL_GRID
+            for n in sizes
+            for engine in report.GRID_ENGINES
+        }
+
+    def test_cells_are_whole_capped_trials(self):
+        for row in self.committed()["results"]:
+            assert row["engine"] in report.GRID_ENGINES
+            assert len(row["trials"]) >= 3
+            assert row["cap_steps"] == report.trial_cap(row["n"])
+            assert row["steps"] == sum(t["steps"] for t in row["trials"])
+            assert row["steps_per_sec"] == pytest.approx(
+                row["steps"] / sum(t["seconds"] for t in row["trials"])
+            )
+            for trial in row["trials"]:
+                assert trial["steps"] <= row["cap_steps"]
+                assert trial["censored"] == (trial["steps"] == row["cap_steps"])
 
     def test_gate_fails_when_the_record_disagrees(self):
         record = self.committed()
@@ -485,7 +516,7 @@ class TestCommittedRecord:
             if row["engine"] == "superbatch":
                 row["steps_per_sec"] = 1.0
         error = report.check_crossovers(record)
-        assert error is not None and "(65536, None)" in error
+        assert error is not None and "crossover None" in error
 
     def test_gate_skips_quick_records(self, capsys):
         assert report.check_crossovers({"quick": True, "results": []}) is None
@@ -498,7 +529,7 @@ class TestEndToEnd:
     ):
         # Shrink every cell so the smoke test stays in tier-1 budget.
         monkeypatch.setattr(report, "QUICK_GRID", (("pll", (64,)),))
-        monkeypatch.setattr(report, "QUICK_STEPS", 2000)
+        monkeypatch.setattr(report, "TRIAL_SEEDS", 2)
         monkeypatch.setattr(report, "TRIALS_PROTOCOL", "angluin")
         monkeypatch.setattr(report, "TRIALS_N", 32)
         monkeypatch.setattr(report, "TRIALS_COUNT", 6)
@@ -509,8 +540,8 @@ class TestEndToEnd:
         # Toy-scale timings are noise, so the gates run at thresholds
         # every measured ratio clears; the real ones are pinned in
         # TestOverheadGate.test_thresholds_are_the_documented_ones.
-        for name in ("MIN_BATCH_RATIO", "MIN_SUPERBATCH_RATIO",
-                     "MIN_TRIALS_RATIO", "MIN_KERNEL_RATIO"):
+        for name in ("MIN_SUPERBATCH_RATIO", "MIN_TRIALS_RATIO",
+                     "MIN_KERNEL_RATIO"):
             monkeypatch.setattr(report, name, 0.0)
         monkeypatch.setattr(
             report,
@@ -520,17 +551,16 @@ class TestEndToEnd:
         out = tmp_path / "BENCH_engine.json"
         assert report.main(["--quick", "--check", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["schema"] == "repro-bench-engine/9"
+        assert payload["schema"] == "repro-bench-engine/10"
         assert payload["quick"] is True
         assert {
-            "results", "summary", "steps_per_cell", "trials", "kernel",
-            "telemetry", "faults", "schedulers",
+            "results", "summary", "trial_seeds", "trial_cap", "trials",
+            "kernel", "telemetry", "faults", "schedulers",
         } <= set(payload)
+        assert payload["trial_seeds"] == 2
         engines = {row["engine"] for row in payload["results"]}
-        assert engines == {"agent", "multiset", "batch", "superbatch"}
-        # Kernel-compiled cells carry both transition paths.
-        paths = {(row["engine"], row["transitions"]) for row in payload["results"]}
-        assert ("multiset", "kernel") in paths and ("multiset", "cached") in paths
+        assert engines == {"multiset", "superbatch"}
+        assert all(len(row["trials"]) == 2 for row in payload["results"])
         assert payload["telemetry"]["on_overhead_ratio"] > 0
         assert payload["telemetry"]["trace_overhead_ratio"] > 0
         assert payload["faults"]["faulted_overhead_ratio"] > 0
@@ -538,7 +568,7 @@ class TestEndToEnd:
         assert payload["trials"]["ensemble_vs_serial"] > 0
         assert payload["kernel"]["results"]
         stdout = capsys.readouterr().out
-        assert stdout.count("check ok:") == 8
+        assert stdout.count("check ok:") == 7
         assert "check skipped: crossovers" in stdout
 
     def test_check_fails_on_a_missed_gate(self, monkeypatch, capsys):

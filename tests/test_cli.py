@@ -2,7 +2,31 @@
 
 import pytest
 
-from repro.cli import PROTOCOLS, build_parser, main
+from repro.cli import PROTOCOLS, _engine_line, build_parser, main
+from repro.experiments import make_simulator
+
+
+def assert_quiet_on_closed_pipe(argv):
+    """`repro ... | head -1`: the reader goes away before the output is
+    written.  No traceback, no exit-time flush error."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestParser:
@@ -181,11 +205,42 @@ class TestCommands:
         assert code == 0
         assert "stabilized" in capsys.readouterr().out
 
-    def test_simulate_names_the_engine_auto_resolved(self, capsys):
-        argv = ["simulate", "--protocol", "pll", "--n", "70000", "--engine", "auto"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "engine: auto -> batch (n >= BATCH_ENGINE_MIN_N = 65536)\n" in out
+    def test_simulate_names_the_engine_auto_resolved(self):
+        # The line alone: a whole trial at this size takes too long here.
+        n = 1 << 18
+        sim = make_simulator(PROTOCOLS["pll"](n), n, seed=0, engine="auto")
+        assert _engine_line("auto", sim) == (
+            "engine: auto -> superbatch (n >= SUPERBATCH_ENGINE_MIN_N = 262144)"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--engine", "batch"],
+        ["run", "E12", "--engine", "batch"],
+        ["campaign", "status", "E12", "--engine", "batch"],
+    ])
+    def test_retired_batch_engine_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'batch'" in err
+        assert "'multiset'" in err and "'superbatch'" in err
+
+    def test_retired_batch_engine_is_refused_as_campaign_override(self):
+        from repro.errors import ExperimentError
+        from repro.experiments import campaign_for
+
+        with pytest.raises(ExperimentError, match="retired") as info:
+            campaign_for("E12", scale=0.125, engine="batch")
+        assert "'multiset'" in str(info.value)
+        assert "'superbatch'" in str(info.value)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--protocol", "pll", "--n", "64", "--engine", "agent"],
+        ["list"],
+    ])
+    def test_closed_stdout_pipe_exits_quietly(self, argv):
+        assert_quiet_on_closed_pipe(argv)
 
     @pytest.mark.parametrize(
         "protocol,engine,line",
@@ -195,7 +250,7 @@ class TestCommands:
             (
                 "pll",
                 "auto",
-                "engine: auto -> multiset (n < BATCH_ENGINE_MIN_N = 65536) "
+                "engine: auto -> multiset (n < SUPERBATCH_ENGINE_MIN_N = 262144) "
                 "on the sorted-slot kernel engine",
             ),
         ],
@@ -448,3 +503,68 @@ class TestStoreCommands:
     def test_store_merge_refuses_non_sharded_path(self, capsys, tmp_path):
         assert main(["store", "merge", str(tmp_path / "nope")]) == 2
         assert "not a sharded store" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def store_with_batch_row(tmp_path_factory):
+    """An E12 campaign store plus one row an older checkout wrote with
+    the retired batch engine."""
+    from repro.orchestration import TrialOutcome, TrialSpec, TrialStore
+
+    store = str(tmp_path_factory.mktemp("batch-rows") / "trials.sqlite")
+    assert main(["campaign", "run", "E12", "--scale", "0.125",
+                 "--store", store]) == 0
+    # The raw constructor builds the old row's spec, as ``create`` now
+    # refuses the engine name.
+    old = TrialSpec("pll", 1 << 16, 0, engine="batch")
+    with TrialStore(store) as handle:
+        handle.put(old, TrialOutcome(0, 1_900_000, 29.0, 1, 310))
+    return store
+
+
+class TestStoredBatchRows:
+    """Rows stored under ``engine = 'batch'`` stay readable."""
+
+    def test_batch_specs_keep_their_hashes(self):
+        from repro.orchestration import TrialSpec
+
+        # Old rows keep their keys: a batch spec hashes as it always did.
+        assert TrialSpec("pll", 256, 0, engine="batch").content_hash() == (
+            "7f4405a8297491412e7e7f2ac84dcd8e7afbdae60494418c10ed5570e68e6596"
+        )
+
+    def test_campaign_status_reads_the_store(self, capsys, store_with_batch_row):
+        capsys.readouterr()
+        assert main(["campaign", "status", "E12", "--scale", "0.125",
+                     "--store", store_with_batch_row]) == 0
+        assert "6/6" in capsys.readouterr().out
+
+    def test_campaign_report_reads_the_store(self, capsys, store_with_batch_row):
+        capsys.readouterr()
+        assert main(["campaign", "report", "E12", "--scale", "0.125",
+                     "--store", store_with_batch_row]) == 0
+        assert "backup-only" in capsys.readouterr().out
+
+    def test_telemetry_report_shows_the_batch_cell(
+        self, capsys, store_with_batch_row
+    ):
+        import json
+
+        capsys.readouterr()
+        assert main(["telemetry", "report", store_with_batch_row,
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["trials"] == 7
+        assert any(cell["engine"] == "batch" for cell in payload["cells"])
+
+    @pytest.mark.parametrize("command", [
+        ["campaign", "status", "E12", "--scale", "0.125", "--store"],
+        ["campaign", "report", "E12", "--scale", "0.125", "--store"],
+        ["telemetry", "report"],
+        ["telemetry", "phases"],
+        ["store", "status"],
+    ])
+    def test_closed_stdout_pipe_exits_quietly(
+        self, command, store_with_batch_row
+    ):
+        assert_quiet_on_closed_pipe([*command, store_with_batch_row])
