@@ -17,6 +17,8 @@ from repro.engine.multiset import MultisetSimulator
 
 N = 1024
 LANES = 32
+E9_N = 2048
+E9_LANES = 48
 
 
 def test_ensemble_pll_cell_to_stabilization(benchmark):
@@ -29,6 +31,25 @@ def test_ensemble_pll_cell_to_stabilization(benchmark):
         return sum(o.steps for o in sim.run_until_stabilized())
 
     assert benchmark(run) > 0
+
+
+def test_e9_shaped_cell(benchmark):
+    """E9's largest cell as campaigns run it: PLL at n = 2048, 48 lanes,
+    uncapped, on the native loop.  The cell interns more than 512
+    states, and each pair it has never resolved returns to Python for
+    one scalar transition."""
+
+    def run():
+        sim = EnsembleSimulator(
+            PLLProtocol.for_population(E9_N), E9_N, list(range(E9_LANES))
+        )
+        outcomes = sim.run_until_stabilized()
+        assert sim.telemetry_summary()["loop"] == "native"
+        assert len(sim.interner) > 512
+        assert all(o.leader_count == 1 for o in outcomes)
+        return len(outcomes)
+
+    assert benchmark.pedantic(run, rounds=3) == E9_LANES
 
 
 def test_slot_lane_throughput(benchmark):

@@ -27,10 +27,12 @@ memoizes transitions in a per-lane dict.  It runs two kinds of lane.
   cell share a :class:`LaneCell`: the cell's transition cache, and for
   kernel protocols the buffers of the native loop
   (:mod:`repro.engine.native`).  A native lane runs in C and resolves
-  pairs its siblings already filled straight from the cache's global
+  pairs its siblings already resolved straight from the cache's global
   id-pair tables; control comes back to Python only for a pair the
-  cell has never resolved, a draw refill, the target, the budget, or
-  table growth.  Lanes of cells without a kernel run the Python loop.
+  cell has never resolved (one scalar transition,
+  :meth:`~repro.engine.kernel.KernelTransitionCache.resolve_miss`), a
+  draw refill, the target, the budget, or table growth.  Lanes of
+  cells without a kernel run the Python loop.
   A native lane that would pass :data:`KERNEL_PAIR_BOUND` local states
   raises :class:`~repro.errors.SimulationError`, as a Python lane does
   past its pair-key stride; the campaign pool reruns such a lane solo.
@@ -523,7 +525,7 @@ class SlotLane:
                 state.batch = size
                 state.cursor = 0
             elif status == native.SLOT_MISS:
-                q0g, q1g = self.cache.apply(state.gpre0, state.gpre1)
+                q0g, q1g = self.cache.resolve_miss(state.gpre0, state.gpre1)
                 buffers.sync_globals(self.cell)
                 while not buffers.store(ref, q0g, q1g):
                     buffers.grow()

@@ -11,7 +11,7 @@ to solo runs (pinned by ``tests/engine/test_ensemble.py``).
 
 Lanes run one after another.  What the cell shares is set-up: one
 :class:`~repro.engine.interner.StateInterner` and one transition cache
-(kernel-filled where the protocol compiles), so every lane after the
+(kernel-backed where the protocol compiles), so every lane after the
 first resolves its transitions from entries its siblings already
 computed.  For kernel protocols lanes run the native sorted-slot loop,
 which reads those entries without returning to Python.  A lane is built
@@ -81,8 +81,9 @@ class EnsembleSimulator:
             protocol, self.interner, cache_entries
         )
         self._telemetry = telemetry
-        # Kernel-fill stage profile (gated wall-clock tier).  Packed
-        # lanes carry no phase series: solo multiset runs probe instead.
+        # Kernel-fill stage profile (gated wall-clock tier; only the
+        # Python loop fills).  Packed lanes carry no phase series: solo
+        # multiset runs probe instead.
         self._profile = StageProfile(enabled=telemetry_enabled(telemetry))
         if hasattr(self.cache, "profile"):
             self.cache.profile = self._profile

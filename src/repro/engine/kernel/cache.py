@@ -6,27 +6,35 @@ compiles to a :class:`~repro.engine.kernel.compiled.CompiledKernel`.
 Same surface (``apply``, ``apply_block``, ``stats``, the shared
 interner), same observable semantics — post ids for ordered pre-id
 pairs, posts of every requested pair interned in (post-initiator,
-post-responder) order — but the resolution path never calls the
-protocol's Python ``transition``:
+post-responder) order.  Scalar lookups gather from an id-pair-indexed
+post table (no dict hashing, no tuple allocation).  A pair missing
+from it resolves one of two ways, by caller:
 
-* scalar lookups gather from an id-pair-indexed post table (no dict
-  hashing, no tuple allocation);
-* misses are served from the kernel's shared
-  :class:`~repro.engine.kernel.compiled.CodeUniverse` — a pair memo in
+* **universe fills** — :meth:`apply` (the solo engines' scalar path)
+  and :meth:`apply_block` (superbatch) read the kernel's shared
+  :class:`~repro.engine.kernel.compiled.CodeUniverse`, a pair memo in
   packed-code space filled by rectangular vectorized kernel calls (at
-  most one per universe growth).  PLL's timer pairs, the cold misses
-  that dominate cached-delta runs at ``n = 1024``, resolve hundreds at
-  a time, and because the universe travels with the *compiled kernel*
-  (shared across instances via ``KernelSpec.cache_key``), a campaign's
-  later trials find every pair already resolved;
-* the universe never touches the engine interner: ids are interned only
-  for posts of pairs actually requested, in request order, so
-  ``distinct_states_seen()`` (and therefore stored trial outcomes)
-  stays byte-identical to the interner+cache path.
+  most one per universe growth).  These callers reuse a universe that
+  travels with the *compiled kernel* (shared across instances via
+  ``KernelSpec.cache_key``), so a campaign's later trials find every
+  pair already resolved;
+* **one scalar transition** — :meth:`resolve_miss`, the packed native
+  loop's miss handler, runs ``protocol.transition`` once on the pair's
+  interned pre-states and never touches the universe.  A packed cell
+  requests few of the pairs a fill computes: on E9 a fill covers about
+  one new code's whole row and column, 6.7 M pairs over a run of which
+  the cells ever request 269,280 (4%), and the fills took 55–68% of
+  the run.  Such a cache registers no code in the universe, so its
+  quadratic tables never grow.
+
+Neither path lets the universe touch the engine interner: ids are
+interned only for posts of pairs actually requested, in request order,
+so ``distinct_states_seen()`` (and therefore stored trial outcomes)
+stays byte-identical to the interner+cache path.
 
 Beyond :data:`KERNEL_PAIR_BOUND` interned states the quadratic id
 tables are dropped and resolved pairs move to a bounded dict memo —
-still kernel-resolved, the paths differ only in lookup cost.
+resolved the same ways, the paths differ only in lookup cost.
 """
 
 from __future__ import annotations
@@ -139,29 +147,40 @@ class KernelTransitionCache:
         return self._post0 is not None
 
     def _sync_ids(self) -> None:
-        """Cover every interned state: codes, universe indices, reverse map."""
+        """Cover every interned state: its code and the reverse map."""
         known = len(self._interner)
         have = self._codes.shape[0]
         if known == have:
             return
         encode = self.kernel.encode
         state_of = self._interner.state_of
-        universe = self._universe
         codes = np.empty(known, dtype=np.int64)
         codes[:have] = self._codes
-        uindex = np.empty(known, dtype=np.int64)
-        uindex[:have] = self._uindex
         for sid in range(have, known):
             code = encode(state_of(sid))
             codes[sid] = code
-            uindex[sid] = universe.index_for(code)
             self._code_ids.setdefault(code, sid)
         self._codes = codes
+
+    def _sync_universe(self) -> None:
+        """Register every interned state in the shared universe.
+
+        Only the fill paths (:meth:`_resolve`, :meth:`_resolve_subset`)
+        call this, so a cache whose misses all go through
+        :meth:`resolve_miss` never grows the universe's quadratic
+        tables.
+        """
+        self._sync_ids()
+        known = self._codes.shape[0]
+        have = self._uindex.shape[0]
+        if known == have:
+            return
+        index_for = self._universe.index_for
+        uindex = np.empty(known, dtype=np.int64)
+        uindex[:have] = self._uindex
+        for sid, code in enumerate(self._codes[have:].tolist(), have):
+            uindex[sid] = index_for(code)
         self._uindex = uindex
-        # Sorted view for vectorized code -> id translation in blocks.
-        order = np.argsort(codes, kind="stable")
-        self._sorted_codes = codes[order]
-        self._sorted_ids = order
 
     def id_codes(self) -> np.ndarray:
         """Packed codes of every interned state, id-indexed (a view).
@@ -202,15 +221,52 @@ class KernelTransitionCache:
         return sid
 
     def _resolve(self, initiator_id: int, responder_id: int) -> tuple[int, int]:
-        """Post ids for a pair not yet in the id tables (and store them)."""
-        self._sync_ids()
-        with self.profile.stage("kernel_fill"):
-            code0, code1 = self._universe.pair_posts(
-                int(self._uindex[initiator_id]),
-                int(self._uindex[responder_id]),
-            )
+        """Post ids for a pair not yet in the id tables, from the
+        universe (and store them)."""
+        self._sync_universe()
+        code0, code1 = self._universe.pair_posts(
+            int(self._uindex[initiator_id]),
+            int(self._uindex[responder_id]),
+            self.profile,
+        )
         post0 = self._id_for_code(code0)
         post1 = self._id_for_code(code1)
+        return self._file(initiator_id, responder_id, post0, post1)
+
+    def resolve_miss(
+        self, initiator_id: int, responder_id: int
+    ) -> tuple[int, int]:
+        """Post ids for a pair the id tables lack, by one scalar
+        ``protocol.transition`` on the interned pre-states.
+
+        The native loop's miss handler: it returns only for pairs the
+        cell's live id tables lack, so the one lookup left is ``_wide``
+        once those tables are dropped.  The universe is not touched: a
+        packed cell requests a few percent of the pairs a fill would
+        compute (see DESIGN §4).  Posts are interned in
+        (post-initiator, post-responder) order, as on every path.
+        """
+        if self._post0 is None:
+            found = self._wide.get((initiator_id, responder_id))
+            if found is not None:
+                self.stats.hits += 1
+                return found
+        interner = self._interner
+        post0, post1 = self._protocol.transition(
+            interner.state_of(initiator_id), interner.state_of(responder_id)
+        )
+        return self._file(
+            initiator_id,
+            responder_id,
+            interner.intern(post0),
+            interner.intern(post1),
+        )
+
+    def _file(
+        self, initiator_id: int, responder_id: int, post0: int, post1: int
+    ) -> tuple[int, int]:
+        """Store one resolved pair in the id tables (``_wide`` past the
+        pair bound, nowhere past ``max_entries``) and count it."""
         result = (post0, post1)
         self._grow_tables(len(self._interner))
         table0 = self._post0
@@ -307,14 +363,19 @@ class KernelTransitionCache:
         order, which only the pairwise path guarantees), and when the
         id tables themselves are out of range.
         """
-        self._sync_ids()
-        with self.profile.stage("kernel_fill"):
-            posts = self._universe.block_posts(
-                self._uindex.take(pre0), self._uindex.take(pre1)
-            )
+        self._sync_universe()
+        posts = self._universe.block_posts(
+            self._uindex.take(pre0), self._uindex.take(pre1), self.profile
+        )
         if posts is None:
             return False
         code0, code1 = posts
+        codes = self._codes
+        if self._sorted_ids.shape[0] != codes.shape[0]:
+            # Sorted view for vectorized code -> id translation.
+            order = np.argsort(codes, kind="stable")
+            self._sorted_codes = codes[order]
+            self._sorted_ids = order
         sorted_codes = self._sorted_codes
         width = sorted_codes.shape[0]
         position0 = np.minimum(np.searchsorted(sorted_codes, code0), width - 1)

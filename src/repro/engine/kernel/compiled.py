@@ -30,6 +30,7 @@ import numpy as np
 from repro.engine.kernel.spec import FieldColumns, KernelSpec
 from repro.engine.protocol import Protocol, State
 from repro.errors import ProtocolError
+from repro.telemetry.profile import DISABLED, StageProfile
 
 __all__ = ["TABLE_BOUND", "UNIVERSE_BOUND", "CodeUniverse", "CompiledKernel"]
 
@@ -118,61 +119,70 @@ class CodeUniverse:
         new1.reshape(cap, cap)[:old, :old] = self._tab1.reshape(old, old)
         self._tab0, self._tab1, self._cap = new0, new1, cap
 
-    def fill(self) -> None:
+    def fill(self, profile: StageProfile = DISABLED) -> None:
         """One kernel call resolving every uncovered ordered index pair.
 
         Extends the filled ``f x f`` square to ``known x known`` (the
         two missing rectangles); amortized over a run this is
-        O(codes^2) kernel elements in O(codes) calls.
+        O(codes^2) kernel elements in O(codes) calls.  Only a call that
+        fills is timed, as ``profile``'s ``kernel_fill`` stage.
         """
         known = len(self._index_of)
         filled = self._filled
         if known <= filled or self._tab0 is None:
             return
-        codes = self._codes[:known]
-        fresh = codes[filled:known]
-        pre0 = np.concatenate(
-            [np.repeat(codes, known - filled), np.repeat(fresh, filled)]
-        )
-        pre1 = np.concatenate(
-            [np.tile(fresh, known), np.tile(codes[:filled], known - filled)]
-        )
-        post0, post1 = self._kernel.apply_codes(pre0, pre1)
-        cap = self._cap
-        rows = np.arange(known, dtype=np.int64)
-        cols = np.arange(filled, known, dtype=np.int64)
-        slots = np.concatenate(
-            [
-                (rows[:, None] * cap + cols[None, :]).ravel(),
-                (
-                    cols[:, None] * cap
-                    + np.arange(filled, dtype=np.int64)[None, :]
-                ).ravel(),
-            ]
-        )
-        self._tab0[slots] = post0
-        self._tab1[slots] = post1
-        self._filled = known
+        with profile.stage("kernel_fill"):
+            codes = self._codes[:known]
+            fresh = codes[filled:known]
+            pre0 = np.concatenate(
+                [np.repeat(codes, known - filled), np.repeat(fresh, filled)]
+            )
+            pre1 = np.concatenate(
+                [
+                    np.tile(fresh, known),
+                    np.tile(codes[:filled], known - filled),
+                ]
+            )
+            post0, post1 = self._kernel.apply_codes(pre0, pre1)
+            cap = self._cap
+            rows = np.arange(known, dtype=np.int64)
+            cols = np.arange(filled, known, dtype=np.int64)
+            slots = np.concatenate(
+                [
+                    (rows[:, None] * cap + cols[None, :]).ravel(),
+                    (
+                        cols[:, None] * cap
+                        + np.arange(filled, dtype=np.int64)[None, :]
+                    ).ravel(),
+                ]
+            )
+            self._tab0[slots] = post0
+            self._tab1[slots] = post1
+            self._filled = known
 
-    def pair_posts(self, index0: int, index1: int) -> tuple[int, int]:
+    def pair_posts(
+        self, index0: int, index1: int, profile: StageProfile = DISABLED
+    ) -> tuple[int, int]:
         """Memoized post codes for one ordered universe-index pair."""
         if self._tab0 is None:
             return self._kernel.apply_pair(
                 int(self._codes[index0]), int(self._codes[index1])
             )
         if index0 >= self._filled or index1 >= self._filled:
-            self.fill()
+            self.fill(profile)
         slot = index0 * self._cap + index1
         return int(self._tab0[slot]), int(self._tab1[slot])
 
     def block_posts(
-        self, index0: np.ndarray, index1: np.ndarray
+        self,
+        index0: np.ndarray,
+        index1: np.ndarray,
+        profile: StageProfile = DISABLED,
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """Post codes for index arrays in one gather; ``None`` if dropped."""
         if self._tab0 is None:
             return None
-        if len(self._index_of) > self._filled:
-            self.fill()
+        self.fill(profile)
         slots = index0 * self._cap + index1
         return self._tab0.take(slots), self._tab1.take(slots)
 

@@ -10,6 +10,7 @@ lane read another's draws, its trajectory would diverge from the solo
 run that consumes only its own stream.
 """
 
+import functools
 import os
 
 import numpy as np
@@ -23,7 +24,11 @@ from repro.engine import native
 from repro.engine.ensemble import EnsembleSimulator, SlotLane
 from repro.engine.ensemble.lane import LaneCell
 from repro.engine.interner import StateInterner
-from repro.engine.kernel import KernelTransitionCache
+from repro.engine.kernel import (
+    KERNEL_PAIR_BOUND,
+    CompiledKernel,
+    KernelTransitionCache,
+)
 from repro.engine.multiset import MultisetSimulator
 from repro.errors import ConvergenceError, SimulationError
 from repro.orchestration import pool
@@ -305,6 +310,22 @@ def solo_counts(protocol, n, seed, chunks):
 PROTOCOLS = {"pll": pll, "angluin": lambda n: AngluinProtocol()}
 
 
+@functools.lru_cache(maxsize=None)
+def solo_lane_rows(n, lanes=8):
+    """Per seed: the solo Python loop's ``(steps, leader count,
+    distinct states)`` for PLL at ``n``, and its first-sight pairs."""
+    rows = {}
+    for seed in range(lanes):
+        lane = SlotLane(pll(n), n, seed)
+        while lane.lead != 1:
+            lane.run(1 << 16)
+        rows[seed] = (
+            (lane.steps, lane.lead, lane.distinct_states_seen()),
+            lane.pair_interns,
+        )
+    return rows
+
+
 class TestNativeLoop:
     """Native lane == Python lane == solo ``MultisetSimulator``.
 
@@ -394,6 +415,44 @@ class TestNativeLoop:
         assert not cache.dense_enabled
         assert cache.stats.dense_hits == 0 and cache.stats.hits > 0
         assert got == solo_outcomes(pll, n, seeds)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("n", [256, 2048])
+    def test_first_sights_skip_the_universe(self, n, wide):
+        # A cell-wide first sight returns to Python and resolves by one
+        # scalar transition: the cell's private universe never fills,
+        # every lane first sight is one cache hit or miss, and each lane
+        # is the solo Python loop's trial.  ``wide`` drops the cell's id
+        # tables early, so the misses go through ``_wide``.
+        protocol = pll(n)
+        kernel = CompiledKernel(protocol, protocol.compile_kernel())
+        cache = KernelTransitionCache(
+            protocol,
+            StateInterner(),
+            kernel=kernel,
+            pair_bound=64 if wide else KERNEL_PAIR_BOUND,
+        )
+        cell = native_cell(protocol, n, cache)
+        first_sights = 0
+        for seed, (row, sights) in solo_lane_rows(n).items():
+            lane = SlotLane(protocol, n, seed, cell=cell)
+            while lane.lead != 1:
+                lane.run(1 << 16)
+            assert (
+                lane.steps,
+                lane.lead,
+                lane.distinct_states_seen(),
+            ) == row
+            first_sights += sights
+        assert kernel.universe._filled == 0 and len(kernel.universe) == 0
+        stats = cache.stats
+        assert stats.hits + stats.misses == first_sights
+        assert stats.bypasses == 0
+        assert cache.dense_enabled is not wide
+        if wide:
+            assert cache._wide and stats.dense_hits == 0
+        if n == 2048:
+            assert len(cell.interner) > 512
 
     @pytest.mark.parametrize("name,n", [("pll", 256), ("angluin", 64)])
     def test_loader_unavailable_runs_python(self, monkeypatch, name, n):

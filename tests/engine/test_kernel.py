@@ -32,6 +32,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.orchestration.registry import build_protocol, protocol_names
 from repro.protocols.angluin import AngluinProtocol
+from repro.telemetry.profile import StageProfile
 
 #: Registry names expected to compile kernels (the ISSUE 4 opt-in set;
 #: ``lottery`` rides along because it *is* PLL's no-tournament variant).
@@ -396,6 +397,59 @@ class TestKernelTransitionCache:
         assert first is second
         different = compiled_kernel_for(PLLProtocol.for_population(1 << 12))
         assert different is not first
+
+    def test_kernel_fill_times_fills_only(self):
+        # Lookups served by a filled universe are not fills: only the
+        # call that extends the universe opens the stage, on the scalar
+        # and the block path alike.
+        protocol = PLLProtocol.for_population(256)
+        kernel = CompiledKernel(protocol, protocol.compile_kernel())
+        profile = StageProfile(enabled=True)
+        caches = []
+        for _ in range(3):
+            cache = KernelTransitionCache(
+                protocol, StateInterner(), kernel=kernel
+            )
+            cache.profile = profile
+            caches.append(
+                (cache, cache._interner.intern(protocol.initial_state()))
+            )
+        (first, a), (second, b), (third, c) = caches
+        first.apply(a, a)
+        assert profile.calls == {"kernel_fill": 1}
+        assert kernel.universe._filled == len(kernel.universe) == 1
+        assert second.apply(b, b) == first.apply(a, a)
+        pre = np.array([c], dtype=np.int64)
+        assert third.apply_block(pre, pre)[0].tolist() == [first.apply(a, a)[0]]
+        assert second.stats.misses == third.stats.misses == 1
+        assert profile.calls == {"kernel_fill": 1}
+
+    def test_resolve_miss_leaves_the_universe_alone(self):
+        # The native loop's miss handler resolves one pair by one
+        # scalar transition, files it as the universe path would, and
+        # never registers a code in the universe.
+        protocol = PLLProtocol.for_population(256)
+        kernel = CompiledKernel(protocol, protocol.compile_kernel())
+        states = reachable_states(PLLProtocol.for_population(256), 64, seed=3)
+        scalar = KernelTransitionCache(protocol, StateInterner(), kernel=kernel)
+        filled = KernelTransitionCache(protocol, StateInterner())
+        for state in states:
+            scalar._interner.intern(state)
+            filled._interner.intern(state)
+        rng = np.random.default_rng(1)
+        pairs = rng.integers(0, len(states), size=(300, 2)).tolist()
+        seen = set()
+        for a, b in pairs:
+            if (a, b) in seen:
+                continue
+            seen.add((a, b))
+            assert scalar.resolve_miss(a, b) == filled.apply(a, b)
+        assert list(scalar._interner) == list(filled._interner)
+        assert scalar.stats == filled.stats
+        assert len(kernel.universe) == 0
+        assert [scalar.apply(a, b) for a, b in seen] == [
+            filled.apply(a, b) for a, b in seen
+        ]
 
     def test_private_kernels_stay_private(self):
         protocol = PLLProtocol.for_population(256)

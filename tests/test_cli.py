@@ -353,6 +353,7 @@ class TestCommands:
     ):
         import json
 
+        import repro.engine.kernel as kernel_module
         from repro.telemetry.core import TELEMETRY_ENV
         from repro.telemetry.sink import EVENTS_ENV, QUIET_ENV
         from repro.telemetry.trace import TRACE_ENV
@@ -363,6 +364,10 @@ class TestCommands:
         monkeypatch.setenv(TRACE_ENV, "1")
         monkeypatch.setenv(QUIET_ENV, "1")
         monkeypatch.setenv(EVENTS_ENV, events)
+        # Cold compiled kernels: the profile times only calls that fill
+        # a kernel's pair universe, and other tests in this process may
+        # already have filled the shared ones.
+        monkeypatch.setattr(kernel_module, "_SHARED_KERNELS", {})
         assert main(["campaign", "run", "E12", "--scale", "0.125",
                      "--store", store]) == 0
         capsys.readouterr()
