@@ -20,10 +20,13 @@ detectors):
   lane bit-identical to a solo multiset run.  It has no single-trial
   form: one ``ensemble`` trial is a solo multiset run.
 
-The three solo engines stabilize through one driver,
-:func:`repro.engine.convergence.run_until_stabilized` (default budget,
-detector dispatch, heartbeat, trace span, phase-series polls, stage
-profile); each supplies only ``_advance(budget, target)``.
+The solo engines share one surface,
+:class:`repro.engine.surface.EngineSurface` (construction, the
+configuration view, ``load_counts``, ``run``), and stabilize through one
+driver, :func:`repro.engine.convergence.run_until_stabilized` (default
+budget, detector dispatch, heartbeat, trace span, phase-series polls,
+stage profile); each supplies its chain (``_advance(budget, target)``),
+``state_id_counts`` and ``_load_ids``.
 
 Transitions resolve through a per-protocol backend picked by
 :func:`repro.engine.kernel.make_transition_cache`: protocols that opt in

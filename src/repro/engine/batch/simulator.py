@@ -2,10 +2,9 @@
 
 :class:`BatchSimulator` holds what the count-level
 :class:`~repro.engine.superbatch.SuperBatchSimulator` runs on: the count
-vector and its id-indexed side tables (outputs, leader marks), bulk and
-single-interaction commits with an incrementally tracked leader count,
-the exact geometric null-run fast path, checkpoints, telemetry and the
-budgeted ``run`` loop.  It samples nothing itself: a subclass supplies
+vector and its leader marks, bulk and single-interaction commits with
+an incrementally tracked leader count, the exact geometric null-run
+fast path and checkpoints.  It samples nothing itself: a subclass supplies
 ``_advance_block(budget, leader_target)``, one sampled block of at most
 ``budget`` interactions, cut at the first interaction whose leader count
 hits ``leader_target``.
@@ -22,20 +21,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
 from repro.engine.convergence import run_until_stabilized
-from repro.engine.interner import StateInterner
-from repro.engine.kernel import make_transition_cache
-from repro.engine.protocol import LEADER, Protocol, State
-from repro.errors import SimulationError
-from repro.telemetry.core import cache_summary, telemetry_enabled
-from repro.telemetry.probe import make_phase_series
-from repro.telemetry.profile import StageProfile
+from repro.engine.protocol import LEADER, Protocol
+from repro.engine.surface import EngineSurface, output_tally, run
+from repro.telemetry.core import cache_summary
 
-__all__ = ["BatchSimulator", "BatchStats"]
+__all__ = ["BatchSimulator", "BatchStats", "NULL_SCAN_LIMIT"]
+
+#: The geometric null fast path scans every ordered pair of present
+#: states; past this many present states it leaves the work to blocks.
+NULL_SCAN_LIMIT = 64
 
 
 @dataclass
@@ -63,9 +61,9 @@ class BatchStats:
         )
 
 
-class BatchSimulator:
-    """Count vector, commits, null-run skip, checkpoints and ``run`` for
-    a block engine; subclasses supply ``_advance_block``."""
+class BatchSimulator(EngineSurface):
+    """Count vector, commits, null-run skip and checkpoints for a block
+    engine; subclasses supply ``_advance_block``."""
 
     # Subclasses set ``ENGINE_NAME``, the name stamped into telemetry
     # summaries, heartbeats and checkpoints.
@@ -80,26 +78,10 @@ class BatchSimulator:
         n: int,
         seed: int | None = None,
         cache_entries: int = 1 << 20,
-        null_scan_limit: int = 64,
         use_kernel: bool | None = None,
         telemetry: bool | None = None,
     ) -> None:
-        if n < 2:
-            raise SimulationError(f"population needs at least 2 agents, got n={n}")
-        self.protocol = protocol
-        self.n = n
-        self.seed = seed
-        self._telemetry = telemetry
-        # Stage profile (gated wall-clock tier) and phase series
-        # (deterministic tier, always on): see DESIGN.md Section 9.
-        self._profile = StageProfile(enabled=telemetry_enabled(telemetry))
-        self.phase_series = make_phase_series(protocol, n)
-        self.interner = StateInterner()
-        self.cache = make_transition_cache(
-            protocol, self.interner, cache_entries, use_kernel=use_kernel
-        )
-        if hasattr(self.cache, "profile"):
-            self.cache.profile = self._profile
+        super().__init__(protocol, n, seed, cache_entries, use_kernel, telemetry)
         self.steps = 0
         self.stats = BatchStats()
         self._rng = np.random.default_rng(seed)
@@ -108,44 +90,23 @@ class BatchSimulator:
         #: boundaries.  ``None`` (the default) costs one branch per
         #: block.
         self.checkpointer = None
-        self._null_scan_limit = null_scan_limit
         self._null_mode = False
         self._counts = np.zeros(16, dtype=np.int64)
-        self._output_of_id: list[str] = []
         self._leader_mark = np.zeros(16, dtype=np.int64)
-        initial_id = self.interner.intern(protocol.initial_state())
-        self._ensure_tables()
-        self._counts[initial_id] = n
-        self._lead = int(self._leader_mark[initial_id]) * n
-
-    # ------------------------------------------------------------------
-    # configuration access (same surface as MultisetSimulator)
-    # ------------------------------------------------------------------
+        #: Ids whose ``_leader_mark`` entry is set.
+        self._marked = 0
+        self.load_counts({protocol.initial_state(): n})
 
     @property
     def leader_count(self) -> int:
         """Number of agents currently outputting ``L``."""
         return self._lead
 
-    @property
-    def output_counts(self) -> Counter[str]:
-        """Output tally, derived on demand from the count vector.
-
-        Kept as a property (rather than a Counter maintained per block)
-        so commits stay fully vectorized; the leader count — the one
-        output engines poll every block — is tracked incrementally in
-        ``leader_count`` instead.
-        """
-        tally: Counter[str] = Counter()
-        table = self._output_of_id
-        for sid in np.nonzero(self._counts)[0].tolist():
-            tally[table[sid]] += int(self._counts[sid])
-        return tally
-
-    @property
-    def parallel_time(self) -> float:
-        """Steps executed divided by ``n``."""
-        return self.steps / self.n
+    #: Derived on demand from the count vector rather than maintained
+    #: per block, so commits stay fully vectorized; the leader count —
+    #: the one output engines poll every block — is tracked
+    #: incrementally in ``leader_count`` instead.
+    output_counts = property(output_tally)
 
     def state_id_counts(self) -> Counter[int]:
         """Multiset of interned state ids currently present (a copy)."""
@@ -154,43 +115,14 @@ class BatchSimulator:
             {int(sid): int(self._counts[sid]) for sid in present}
         )
 
-    def state_counts(self) -> Counter[State]:
-        """Multiset of decoded states currently present."""
-        state_of = self.interner.state_of
-        return Counter(
-            {state_of(sid): count for sid, count in self.state_id_counts().items()}
-        )
-
-    def count_of(self, state: State) -> int:
-        """Number of agents currently in ``state``."""
-        sid = self.interner.id_of(state)
-        if sid is None:
-            return 0
-        return int(self._counts[sid])
-
-    def load_counts(self, counts: dict[State, int]) -> None:
-        """Replace the configuration with an explicit state multiset."""
-        total = sum(counts.values())
-        if total != self.n:
-            raise SimulationError(
-                f"configuration counts sum to {total}, expected n={self.n}"
-            )
-        if any(count < 0 for count in counts.values()):
-            raise SimulationError("configuration counts must be non-negative")
+    def _load_ids(self, by_id: dict[int, int]) -> None:
+        self._ensure_tables()
         self._counts[:] = 0
-        for state, count in counts.items():
-            if count == 0:
-                continue
-            sid = self.interner.intern(state)
-            self._ensure_tables()
-            self._counts[sid] += count
+        for sid, count in by_id.items():
+            self._counts[sid] = count
         size = self._counts.shape[0]
         self._lead = int((self._counts * self._leader_mark[:size]).sum())
         self._null_mode = False
-
-    def distinct_states_seen(self) -> int:
-        """Number of distinct states interned so far."""
-        return len(self.interner)
 
     def telemetry_summary(self) -> dict:
         """Deterministic counter summary for the trial store."""
@@ -200,19 +132,6 @@ class BatchSimulator:
             "stats": asdict(self.stats),
             "cache": cache_summary(self.cache.stats),
         }
-
-    def phases_json(self) -> str | None:
-        """Serialized phase series for the trial store, or ``None``."""
-        series = self.phase_series
-        return None if series is None else series.to_json()
-
-    def describe(self) -> str:
-        """One-line human-readable summary of the simulation."""
-        return (
-            f"{self.protocol.name}: n={self.n} steps={self.steps} "
-            f"(parallel time {self.parallel_time:.2f}) "
-            f"outputs={dict(self.output_counts)}"
-        )
 
     # ------------------------------------------------------------------
     # checkpoint round-trip (in-trial resume; see repro.faults.checkpoint)
@@ -245,12 +164,7 @@ class BatchSimulator:
         """Resume from a :meth:`checkpoint_state` snapshot."""
         for state in payload["states"]:
             self.interner.intern(state)
-        self._ensure_tables()
-        self._counts[:] = 0
-        counts = payload["counts"]
-        self._counts[: len(counts)] = counts
-        size = self._counts.shape[0]
-        self._lead = int((self._counts * self._leader_mark[:size]).sum())
+        self._load_ids(dict(enumerate(payload["counts"])))
         self.steps = int(payload["steps"])
         self._null_mode = bool(payload["null_mode"])
         self.stats = type(self.stats)(**payload["stats"])
@@ -275,15 +189,12 @@ class BatchSimulator:
             grown_marks = np.zeros(capacity, dtype=np.int64)
             grown_marks[: self._leader_mark.shape[0]] = self._leader_mark
             self._leader_mark = grown_marks
-        table = self._output_of_id
-        if len(table) < known:
-            output = self.protocol.output
-            state_of = self.interner.state_of
-            for sid in range(len(table), known):
-                symbol = output(state_of(sid))
-                table.append(symbol)
-                if symbol == LEADER:
-                    self._leader_mark[sid] = 1
+        if self._marked < known:
+            output_for = self._output_for
+            marks = self._leader_mark
+            for sid in range(self._marked, known):
+                marks[sid] = output_for(sid) == LEADER
+            self._marked = known
 
     # ------------------------------------------------------------------
     # block execution
@@ -366,7 +277,7 @@ class BatchSimulator:
         known = len(self.interner)
         counts = self._counts[:known]
         present = np.nonzero(counts)[0]
-        if present.shape[0] > self._null_scan_limit:
+        if present.shape[0] > NULL_SCAN_LIMIT:
             return None
         # The whole present x present scan goes through the cache's
         # block interface in one shot — a single gather on the kernel
@@ -430,33 +341,7 @@ class BatchSimulator:
             self._null_mode = False
         return self._advance_block(budget, leader_target)
 
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        max_steps: int,
-        until: Callable[["BatchSimulator"], bool] | None = None,
-        check_every: int = 1,
-    ) -> int:
-        """Run up to ``max_steps`` steps; stop early when ``until`` fires.
-
-        ``until`` is evaluated between blocks rather than every
-        ``check_every`` interactions (the parameter is accepted for
-        interface parity); the step count never exceeds ``max_steps``.
-        """
-        executed = 0
-        if until is not None and until(self):
-            return 0
-        while executed < max_steps:
-            executed += self._advance(max_steps - executed, None)
-            if self.checkpointer is not None:
-                self.checkpointer.maybe_save(self)
-            if until is not None and until(self):
-                break
-        return executed
-
+    run = run
     #: The shared driver (:func:`repro.engine.convergence.run_until_stabilized`);
     #: with the default detector the returned step count is exact, since
     #: ``_advance_block`` cuts a block at the first interaction hitting

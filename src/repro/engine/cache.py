@@ -13,14 +13,14 @@ Two lookup structures back the memo:
 * a dict keyed by the ordered id pair — always present, unbounded state
   space, the ``max_entries`` insertion bound applies here;
 * a **dense fast path**: while the interned state space stays small
-  (``<= DENSE_STATE_BOUND`` states by default; configurable per cache
-  or via ``REPRO_DENSE_STATE_BOUND``), stored pairs are mirrored into a
-  ``(S, S)`` pair-indexed NumPy table.  Scalar lookups then skip dict
-  hashing, and :meth:`TransitionCache.apply_block` resolves whole arrays
-  of pre-state pairs with one gather — the form the block engine
-  (superbatch, uniform and weighted) consumes.  The moment the interner grows
-  past the bound the dense mirror is dropped and everything falls back to
-  the dict, so wide-state protocols pay nothing but the bound check.
+  (``<= DENSE_STATE_BOUND`` states by default; configurable per cache),
+  stored pairs are mirrored into a ``(S, S)`` pair-indexed NumPy table.
+  Scalar lookups then skip dict hashing, and
+  :meth:`TransitionCache.apply_block` resolves whole arrays of pre-state
+  pairs with one gather — the form the block engine (superbatch, uniform
+  and weighted) consumes.  The moment the interner grows past the bound
+  the dense mirror is dropped and everything falls back to the dict, so
+  wide-state protocols pay nothing but the bound check.
 
 A pair is mirrored into the dense table only when it is also stored in
 the dict: the ``max_entries`` eviction discipline (insert-until-full,
@@ -34,7 +34,6 @@ so ``hit_rate`` is comparable across paths.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,6 @@ from repro.engine.protocol import Protocol
 __all__ = [
     "CacheStats",
     "DENSE_STATE_BOUND",
-    "DENSE_STATE_BOUND_ENV",
     "TransitionCache",
 ]
 
@@ -55,23 +53,8 @@ __all__ = [
 #: including PLL at ``n = 1024``, whose ``41 m`` count-up timers reach
 #: ~275 states and used to silently drop the mirror at the old bound of
 #: 256 — while capping the mirror at 512 x 512 x 2 int32 cells = 2 MiB.
-#: Override per cache via the ``dense_bound`` constructor argument or
-#: process-wide via :data:`DENSE_STATE_BOUND_ENV`.
+#: Override per cache via the ``dense_bound`` constructor argument.
 DENSE_STATE_BOUND = 512
-
-#: Environment override for the default dense-mirror bound (an integer;
-#: 0 disables the mirror entirely).
-DENSE_STATE_BOUND_ENV = "REPRO_DENSE_STATE_BOUND"
-
-
-def _default_dense_bound() -> int:
-    raw = os.environ.get(DENSE_STATE_BOUND_ENV)
-    if raw is None:
-        return DENSE_STATE_BOUND
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DENSE_STATE_BOUND
 
 
 @dataclass
@@ -116,7 +99,7 @@ class TransitionCache:
         protocol: Protocol,
         interner: StateInterner,
         max_entries: int = 1 << 20,
-        dense_bound: int | None = None,
+        dense_bound: int = DENSE_STATE_BOUND,
     ) -> None:
         self._protocol = protocol
         self._interner = interner
@@ -124,11 +107,8 @@ class TransitionCache:
         self._max_entries = max_entries
         # Dense mirror: _dense[0] holds post-initiator ids, _dense[1]
         # post-responder ids, both flat (cap * cap) with -1 = not stored.
-        # None once the interner outgrows the dense bound (ctor arg,
-        # REPRO_DENSE_STATE_BOUND, or the module default, in that order).
-        self._dense_bound = (
-            _default_dense_bound() if dense_bound is None else dense_bound
-        )
+        # None once the interner outgrows the dense bound.
+        self._dense_bound = dense_bound
         self._dense_cap = 16
         self._dense: tuple[np.ndarray, np.ndarray] | None = (
             (

@@ -60,7 +60,10 @@ class MonotoneLeaderStabilization(StabilizationDetector):
         self.target = target
 
     def check(self, sim) -> bool:
-        return sim.output_counts.get(LEADER, 0) == self.target
+        # The engine's leader counter, the value run_to_leader_target
+        # polls; the kernel and block engines would rebuild their whole
+        # output tally for ``output_counts``.
+        return sim.leader_count == self.target
 
 
 class SilenceDetector(StabilizationDetector):
@@ -75,8 +78,11 @@ class SilenceDetector(StabilizationDetector):
     """
 
     def check(self, sim) -> bool:
+        # Probing interns the posts, so probe in ascending id order: the
+        # interner then grows the same way whatever order the engine
+        # keeps its counts in.
         counts = sim.state_id_counts()
-        present = [sid for sid, count in counts.items() if count > 0]
+        present = sorted(sid for sid, count in counts.items() if count > 0)
         cache = sim.cache
         for sid0 in present:
             for sid1 in present:
@@ -135,9 +141,14 @@ def step_to_leader_target(
 ) -> int:
     """``_advance`` for the engines that run one ``step()`` at a time
     (agent, Fenwick multiset): up to ``max_steps`` interactions,
-    stopping at the first whose leader count hits ``leader_target``."""
-    output_counts = sim.output_counts
+    stopping at the first whose leader count hits ``leader_target``
+    (``None``: no target, a plain ``step()`` loop)."""
     step = sim.step
+    if leader_target is None:
+        for _ in range(max_steps):
+            step()
+        return max_steps
+    output_counts = sim.output_counts
     executed = 0
     while executed < max_steps:
         step()

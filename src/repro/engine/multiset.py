@@ -20,19 +20,14 @@ distribution (tested statistically in ``tests/engine/test_engines_agree``).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable
 
 import numpy as np
 
 from repro.engine.convergence import run_until_stabilized, step_to_leader_target
 from repro.engine.fenwick import FenwickTree
-from repro.engine.interner import StateInterner
-from repro.engine.kernel import make_transition_cache
-from repro.engine.protocol import LEADER, Protocol, State
-from repro.errors import SimulationError
-from repro.telemetry.core import cache_summary, telemetry_enabled
-from repro.telemetry.probe import make_phase_series
-from repro.telemetry.profile import StageProfile
+from repro.engine.protocol import Protocol
+from repro.engine.surface import EngineSurface, run
+from repro.telemetry.core import cache_summary
 
 __all__ = ["DRAW_BATCH_SIZE", "MultisetSimulator"]
 
@@ -45,11 +40,10 @@ __all__ = ["DRAW_BATCH_SIZE", "MultisetSimulator"]
 DRAW_BATCH_SIZE = 16384
 
 
-class MultisetSimulator:
+class MultisetSimulator(EngineSurface):
     """Execute a protocol on the multiset-of-states representation."""
 
     ENGINE_NAME = "multiset"
-    BLOCK_ENGINE = False
 
     def __init__(
         self,
@@ -61,108 +55,44 @@ class MultisetSimulator:
         use_kernel: bool | None = None,
         telemetry: bool | None = None,
     ) -> None:
-        if n < 2:
-            raise SimulationError(f"population needs at least 2 agents, got n={n}")
-        self.protocol = protocol
-        self.n = n
-        self.seed = seed
-        self._telemetry = telemetry
+        super().__init__(protocol, n, seed, cache_entries, use_kernel, telemetry)
         #: Interactions that resolved to a no-op pair.  Counted
         #: unconditionally (one int add on the null branch) so the
         #: stored telemetry summary never depends on the telemetry
         #: switch — see DESIGN.md Section 8.
         self.null_steps = 0
-        # Stage profile (gated) and phase series (deterministic tier,
-        # always on): see DESIGN.md Section 9.  The scalar engine's only
-        # profiled stage is the kernel cache's pair-table fill.
-        self._profile = StageProfile(enabled=telemetry_enabled(telemetry))
-        self.phase_series = make_phase_series(protocol, n)
-        self.interner = StateInterner()
-        self.cache = make_transition_cache(
-            protocol, self.interner, cache_entries, use_kernel=use_kernel
-        )
-        if hasattr(self.cache, "profile"):
-            self.cache.profile = self._profile
         self.steps = 0
         self._rng = np.random.default_rng(seed)
         self._batch_size = batch_size
         self._first_draws: list[int] = []
         self._second_draws: list[int] = []
         self._cursor = 0
-        self._output_of_id: list[str] = []
         self._counts: dict[int, int] = {}
         self._fenwick = FenwickTree()
-        initial_id = self.interner.intern(protocol.initial_state())
-        self._counts[initial_id] = n
-        self._fenwick.add(initial_id, n)
-        self.output_counts: Counter[str] = Counter()
-        self.output_counts[self._output_for(initial_id)] = n
+        self.load_counts({protocol.initial_state(): n})
 
     # ------------------------------------------------------------------
     # configuration access
     # ------------------------------------------------------------------
 
-    @property
-    def leader_count(self) -> int:
-        """Number of agents currently outputting ``L``."""
-        return self.output_counts.get(LEADER, 0)
-
-    @property
-    def parallel_time(self) -> float:
-        """Steps executed divided by ``n``."""
-        return self.steps / self.n
-
     def state_id_counts(self) -> Counter[int]:
         """Multiset of interned state ids currently present (a copy)."""
         return Counter(self._counts)
 
-    def state_counts(self) -> Counter[State]:
-        """Multiset of decoded states currently present."""
-        state_of = self.interner.state_of
-        return Counter({state_of(sid): c for sid, c in self._counts.items()})
-
-    def count_of(self, state: State) -> int:
-        """Number of agents currently in ``state``."""
-        sid = self.interner.id_of(state)
-        if sid is None:
-            return 0
-        return self._counts.get(sid, 0)
-
-    def load_counts(self, counts: dict[State, int]) -> None:
-        """Replace the configuration with an explicit state multiset."""
-        total = sum(counts.values())
-        if total != self.n:
-            raise SimulationError(
-                f"configuration counts sum to {total}, expected n={self.n}"
-            )
-        if any(count < 0 for count in counts.values()):
-            raise SimulationError("configuration counts must be non-negative")
-        for sid, count in list(self._counts.items()):
-            self._fenwick.add(sid, -count)
-        self._counts = {}
-        for state, count in counts.items():
-            if count == 0:
-                continue
-            sid = self.interner.intern(state)
-            self._counts[sid] = self._counts.get(sid, 0) + count
-            self._fenwick.add(sid, count)
+    def _load_ids(self, by_id: dict[int, int]) -> None:
+        fenwick = self._fenwick
+        for sid, count in self._counts.items():
+            fenwick.add(sid, -count)
+        self._counts = dict(by_id)
         output_for = self._output_for
         self.output_counts = Counter()
-        for sid, count in self._counts.items():
+        for sid, count in by_id.items():
+            fenwick.add(sid, count)
             self.output_counts[output_for(sid)] += count
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-
-    def _output_for(self, sid: int) -> str:
-        table = self._output_of_id
-        if sid >= len(table):
-            interner = self.interner
-            output = self.protocol.output
-            for missing in range(len(table), len(interner)):
-                table.append(output(interner.state_of(missing)))
-        return table[sid]
 
     def _refill_draws(self) -> None:
         size = self._batch_size
@@ -222,33 +152,12 @@ class MultisetSimulator:
         output_counts[output_for(post1)] += 1
         return pre0, pre1, post0, post1
 
-    def run(
-        self,
-        max_steps: int,
-        until: Callable[["MultisetSimulator"], bool] | None = None,
-        check_every: int = 1,
-    ) -> int:
-        """Run up to ``max_steps`` steps; stop early when ``until`` fires."""
-        executed = 0
-        step = self.step
-        if until is not None and until(self):
-            return 0
-        while executed < max_steps:
-            step()
-            executed += 1
-            if until is not None and executed % check_every == 0 and until(self):
-                break
-        return executed
-
     #: Stabilization through the shared driver
     #: (:func:`repro.engine.convergence.run_until_stabilized`), advanced
     #: one ``step()`` at a time.
     _advance = step_to_leader_target
+    run = run
     run_until_stabilized = run_until_stabilized
-
-    def distinct_states_seen(self) -> int:
-        """Number of distinct states interned so far."""
-        return len(self.interner)
 
     def telemetry_summary(self) -> dict:
         """Deterministic counter summary for the trial store."""
@@ -259,16 +168,3 @@ class MultisetSimulator:
             "null_steps": self.null_steps,
             "cache": cache_summary(self.cache.stats),
         }
-
-    def phases_json(self) -> str | None:
-        """Serialized phase series for the trial store, or ``None``."""
-        series = self.phase_series
-        return None if series is None else series.to_json()
-
-    def describe(self) -> str:
-        """One-line human-readable summary of the simulation."""
-        return (
-            f"{self.protocol.name}: n={self.n} steps={self.steps} "
-            f"(parallel time {self.parallel_time:.2f}) "
-            f"outputs={dict(self.output_counts)}"
-        )

@@ -18,14 +18,11 @@ from collections import Counter
 from typing import Callable, Iterable, Sequence
 
 from repro.engine.convergence import run_until_stabilized, step_to_leader_target
-from repro.engine.interner import StateInterner
-from repro.engine.kernel import make_transition_cache
-from repro.engine.protocol import LEADER, Protocol, State
+from repro.engine.protocol import Protocol, State
 from repro.engine.scheduler import PairScheduler, RandomScheduler
+from repro.engine.surface import EngineSurface, run
 from repro.errors import SimulationError
-from repro.telemetry.core import cache_summary, telemetry_enabled
-from repro.telemetry.probe import make_phase_series
-from repro.telemetry.profile import StageProfile
+from repro.telemetry.core import cache_summary
 
 __all__ = ["AgentSimulator", "Hook"]
 
@@ -35,7 +32,7 @@ __all__ = ["AgentSimulator", "Hook"]
 Hook = Callable[["AgentSimulator", int, int, int, int, int, int], None]
 
 
-class AgentSimulator:
+class AgentSimulator(EngineSurface):
     """Execute a protocol over ``n`` identified agents.
 
     Parameters
@@ -60,7 +57,6 @@ class AgentSimulator:
     """
 
     ENGINE_NAME = "agent"
-    BLOCK_ENGINE = False
 
     def __init__(
         self,
@@ -72,32 +68,13 @@ class AgentSimulator:
         use_kernel: bool | None = None,
         telemetry: bool | None = None,
     ) -> None:
-        if n < 2:
-            raise SimulationError(f"population needs at least 2 agents, got n={n}")
-        self.protocol = protocol
-        self.n = n
-        self.seed = seed
-        self._telemetry = telemetry
-        # Stage profile (gated) and phase series (deterministic tier,
-        # always on): see DESIGN.md Section 9.
-        self._profile = StageProfile(enabled=telemetry_enabled(telemetry))
-        self.phase_series = make_phase_series(protocol, n)
-        self.interner = StateInterner()
-        self.cache = make_transition_cache(
-            protocol, self.interner, cache_entries, use_kernel=use_kernel
-        )
-        if hasattr(self.cache, "profile"):
-            self.cache.profile = self._profile
+        super().__init__(protocol, n, seed, cache_entries, use_kernel, telemetry)
         self.scheduler: PairScheduler = (
             scheduler if scheduler is not None else RandomScheduler(n, seed)
         )
         self.steps = 0
-        self._output_of_id: list[str] = []
         self._hooks: list[Hook] = []
-        initial_id = self.interner.intern(protocol.initial_state())
-        self.states: list[int] = [initial_id] * n
-        self.output_counts: Counter[str] = Counter()
-        self.output_counts[self._output_for(initial_id)] = n
+        self.load_counts({protocol.initial_state(): n})
 
     # ------------------------------------------------------------------
     # configuration access
@@ -111,16 +88,6 @@ class AgentSimulator:
         """Output symbol of ``agent``."""
         return self._output_for(self.states[agent])
 
-    @property
-    def leader_count(self) -> int:
-        """Number of agents currently outputting ``L``."""
-        return self.output_counts.get(LEADER, 0)
-
-    @property
-    def parallel_time(self) -> float:
-        """Steps executed divided by ``n`` (the paper's time unit)."""
-        return self.steps / self.n
-
     def configuration(self) -> list[State]:
         """Decoded state of every agent (a copy)."""
         state_of = self.interner.state_of
@@ -129,14 +96,6 @@ class AgentSimulator:
     def state_id_counts(self) -> Counter[int]:
         """Multiset of interned state ids currently present."""
         return Counter(self.states)
-
-    def state_counts(self) -> Counter[State]:
-        """Multiset of decoded states currently present."""
-        state_of = self.interner.state_of
-        counts: Counter[State] = Counter()
-        for sid, count in self.state_id_counts().items():
-            counts[state_of(sid)] = count
-        return counts
 
     def agents_with_output(self, symbol: str) -> list[int]:
         """Indices of agents whose output is ``symbol``."""
@@ -160,8 +119,14 @@ class AgentSimulator:
             )
         intern = self.interner.intern
         self.states = [intern(state) for state in states]
-        output_for = self._output_for
-        self.output_counts = Counter(output_for(sid) for sid in self.states)
+        self.output_counts = Counter(map(self._output_for, self.states))
+
+    def _load_ids(self, by_id: dict[int, int]) -> None:
+        """``load_counts``: agents take the states in ``by_id`` order."""
+        self.states = []
+        for sid, count in by_id.items():
+            self.states += [sid] * count
+        self.output_counts = Counter(map(self._output_for, self.states))
 
     def set_scheduler(self, scheduler: PairScheduler) -> None:
         """Swap the interaction source mid-run.
@@ -186,16 +151,6 @@ class AgentSimulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-
-    def _output_for(self, sid: int) -> str:
-        """Output symbol for a state id, via an id-indexed side table."""
-        table = self._output_of_id
-        if sid >= len(table):
-            interner = self.interner
-            output = self.protocol.output
-            for missing in range(len(table), len(interner)):
-                table.append(output(interner.state_of(missing)))
-        return table[sid]
 
     def step(self) -> tuple[int, int]:
         """Execute one interaction; returns the (initiator, responder) pair."""
@@ -224,42 +179,16 @@ class AgentSimulator:
                 hook(self, u, v, pre0, pre1, post0, post1)
         return u, v
 
-    def run(
-        self,
-        max_steps: int,
-        until: Callable[["AgentSimulator"], bool] | None = None,
-        check_every: int = 1,
-    ) -> int:
-        """Run up to ``max_steps`` further steps; stop early if ``until``.
-
-        Returns the number of steps actually executed in this call.  The
-        ``until`` predicate is polled every ``check_every`` steps (after the
-        step), so expensive predicates can be sampled sparsely.
-        """
-        executed = 0
-        step = self.step
-        if until is not None and until(self):
-            return 0
-        while executed < max_steps:
-            step()
-            executed += 1
-            if until is not None and executed % check_every == 0 and until(self):
-                break
-        return executed
-
     #: Stabilization through the shared driver
     #: (:func:`repro.engine.convergence.run_until_stabilized`), advanced
     #: one ``step()`` at a time.
     _advance = step_to_leader_target
+    run = run
     run_until_stabilized = run_until_stabilized
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-
-    def distinct_states_seen(self) -> int:
-        """Number of distinct states interned so far (Lemma 3 audits)."""
-        return len(self.interner)
 
     def telemetry_summary(self) -> dict:
         """Deterministic counter summary for the trial store."""
@@ -269,19 +198,6 @@ class AgentSimulator:
             "distinct_states": len(self.interner),
             "cache": cache_summary(self.cache.stats),
         }
-
-    def phases_json(self) -> str | None:
-        """Serialized phase series for the trial store, or ``None``."""
-        series = self.phase_series
-        return None if series is None else series.to_json()
-
-    def describe(self) -> str:
-        """One-line human-readable summary of the simulation."""
-        return (
-            f"{self.protocol.name}: n={self.n} steps={self.steps} "
-            f"(parallel time {self.parallel_time:.2f}) "
-            f"outputs={dict(self.output_counts)}"
-        )
 
     @staticmethod
     def outputs_of(configurations: Iterable[State], protocol: Protocol) -> Counter:

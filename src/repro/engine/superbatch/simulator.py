@@ -27,7 +27,7 @@ multiset is bisected with multivariate-hypergeometric prefix splits
 (exchangeability makes the split exact) down to the single interaction
 of first hit, so ``run_until_stabilized`` still returns the true
 first-hit step.  The count vector, commits, the geometric null-run fast
-path, checkpoints and ``run`` come from the count-level base
+path and checkpoints come from the count-level base
 :class:`~repro.engine.batch.BatchSimulator`.
 
 DESIGN.md Section 6 carries the faithfulness argument, enforced by KS
@@ -86,7 +86,6 @@ class SuperBatchSimulator(BatchSimulator):
         n: int,
         seed: int | None = None,
         cache_entries: int = 1 << 20,
-        null_scan_limit: int = 64,
         use_kernel: bool | None = None,
         telemetry: bool | None = None,
     ) -> None:
@@ -95,7 +94,6 @@ class SuperBatchSimulator(BatchSimulator):
             n,
             seed=seed,
             cache_entries=cache_entries,
-            null_scan_limit=null_scan_limit,
             use_kernel=use_kernel,
             telemetry=telemetry,
         )

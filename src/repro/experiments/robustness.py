@@ -233,10 +233,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
             configuration = scrambled_epoch4_configuration(
                 n, leaders=n // 4, rng=rng, params=protocol.params
             )
-            if hasattr(sim, "load_counts"):
-                sim.load_counts(dict(Counter(configuration)))
-            else:
-                sim.load_configuration(configuration)
+            sim.load_counts(dict(Counter(configuration)))
             sim.run_until_stabilized()
             times.append(sim.parallel_time)
         mean_time = summarize(times).mean

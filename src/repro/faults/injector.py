@@ -21,11 +21,11 @@ and flows into the campaign fabric's retry/quarantine path.
 
 Event application is two-pathed by exchangeability:
 
-* count-level (`state_counts`/`load_counts` engines — multiset and
-  superbatch): uniformly-chosen victims are a multivariate
-  hypergeometric draw on the count vector, and corrupt replacements are
-  uniform over the states present.  No agent identities materialize, so
-  superbatch scale survives faulted runs.
+* count-level (the multiset and superbatch engines): uniformly-chosen
+  victims are a multivariate hypergeometric draw on the count vector,
+  and corrupt replacements are uniform over the states present.  No
+  agent identities materialize, so superbatch scale survives faulted
+  runs.
 * per-agent (:class:`~repro.engine.simulator.AgentSimulator`): the same
   distributions realized on identified agents, plus the two
   non-exchangeable events (targeted corruption, partitions via
@@ -181,7 +181,9 @@ class FaultInjector:
         if event.kind == "partition":
             self._apply_partition(sim, event, rng)
             record["duration"] = event.duration
-        elif hasattr(sim, "load_counts") and event.exchangeable:
+        elif event.exchangeable and not hasattr(sim, "load_configuration"):
+            # Count engines; the agent engine realizes every event on
+            # its identified agents.
             self._apply_counts(sim, event, rng)
         else:
             self._apply_agents(sim, event, rng)

@@ -39,6 +39,7 @@ from repro.engine.multiset import MultisetSimulator
 from repro.engine.protocol import Protocol
 from repro.engine.simulator import AgentSimulator
 from repro.engine.superbatch import SuperBatchSimulator
+from repro.engine.surface import EngineSurface
 from repro.errors import ConvergenceError, ExperimentError, TrialTimeoutError
 from repro.faults.checkpoint import TrialCheckpointer, make_checkpointer
 from repro.faults.injector import FaultInjector
@@ -81,14 +82,7 @@ _log = logging.getLogger(__name__)
 #: ``None``).
 ProgressCallback = Callable[[int, int, TrialOutcome | None], None]
 
-Simulator = (
-    AgentSimulator
-    | MultisetSimulator
-    | KernelMultisetSimulator
-    | SuperBatchSimulator
-)
-
-_ENGINE_FACTORIES: dict[str, Callable[..., Simulator]] = {
+_ENGINE_FACTORIES: dict[str, Callable[..., EngineSurface]] = {
     "agent": AgentSimulator,
     "multiset": MultisetSimulator,
     "superbatch": SuperBatchSimulator,
@@ -104,7 +98,7 @@ def build_simulator(
     engine: str = "agent",
     use_kernel: bool | None = None,
     scheduler: SchedulerSpec | None = None,
-) -> Simulator:
+) -> EngineSurface:
     """Build the requested engine (one of :data:`~repro.orchestration.spec.ENGINES`).
 
     ``engine="auto"`` picks per population size via
@@ -176,7 +170,7 @@ def _build_scheduled_simulator(
     engine: str,
     scheduler: SchedulerSpec,
     use_kernel: bool | None,
-) -> Simulator:
+) -> EngineSurface:
     """Engine construction for non-uniform schedules.
 
     The weighted family has a sound implementation on every engine

@@ -31,6 +31,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.engine.batch.simulator import NULL_SCAN_LIMIT
 from repro.engine.multiset import MultisetSimulator
 from repro.engine.scheduler import RandomScheduler
 from repro.engine.superbatch.sampling import sample_run_length, sample_run_pairs
@@ -218,7 +219,7 @@ class WeightedSuperBatchSimulator(SuperBatchSimulator):
         known = len(self.interner)
         counts = self._counts[:known]
         present = np.nonzero(counts)[0]
-        if present.shape[0] > self._null_scan_limit:
+        if present.shape[0] > NULL_SCAN_LIMIT:
             return None
         pairs0 = np.repeat(present, present.shape[0])
         pairs1 = np.tile(present, present.shape[0])

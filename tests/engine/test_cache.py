@@ -221,7 +221,7 @@ class TestDenseFastPath:
 
 
 class TestConfigurableDenseBound:
-    """The dense-mirror bound is a knob (ISSUE 4): ctor arg, env, default."""
+    """The dense-mirror bound: a constructor argument over a module default."""
 
     def test_default_bound_covers_pll_at_n_1024(self):
         # The raise to 512 exists for exactly this regime: PLL reaches
@@ -242,18 +242,3 @@ class TestConfigurableDenseBound:
         protocol = MaxPropagationProtocol()
         cache = TransitionCache(protocol, StateInterner(), dense_bound=0)
         assert not cache.dense_enabled
-
-    def test_env_override_sets_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE_STATE_BOUND", "4")
-        protocol = MaxPropagationProtocol()
-        interner = StateInterner()
-        cache = TransitionCache(protocol, interner)
-        for value in range(6):
-            interner.intern(value)
-        cache.apply(0, 1)
-        assert not cache.dense_enabled
-
-    def test_garbage_env_falls_back_to_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE_STATE_BOUND", "not-a-number")
-        cache = TransitionCache(MaxPropagationProtocol(), StateInterner())
-        assert cache.dense_enabled
